@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -33,16 +31,8 @@ from .errors import (
 )
 from .expr import ExprMultiplier, parse_multiplier
 from .framecore import exponential_system, measure_bounds, write_spectrum_csv
-from .multiplication import (
-    check_bessel_multiplication,
-    check_converse,
-    check_frame_multiplication,
-    check_frame_sequence_multiplication,
-    check_riesz_multiplication,
-    check_tight_multiplication,
-    multiply_system,
-    refine_check,
-)
+from .multiplication import _CHECKS as _SINGLE_CHECKS
+from .multiplication import check_converse, jsonable, multiply_system, refine_check
 from .pointset import (
     beurling_1d_frame_predicate,
     beurling_ball_frame_predicate,
@@ -82,7 +72,7 @@ COMMANDS = (
     "corollary-demo",
 )
 
-_CHECK_KINDS = ("frame", "tight", "riesz", "bessel", "frame_sequence", "converse")
+_CHECK_KINDS = (*_SINGLE_CHECKS, "converse")
 
 _MULTIPLIER_INPUT = {
     "type": "object",
@@ -335,63 +325,18 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _jsonable(obj):
-    """Recursively coerce report values into strict-JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
-    return obj
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framelab-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_rows(path: str, header, rows) -> None:
+def _atomic_write(path: str, fill) -> None:
+    """Write through ``fill(fh)`` to a temporary file, then rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framelab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _executor_for_env():
-    raw = os.environ.get("FRAMELAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n > 1:
-        return ThreadPoolExecutor(max_workers=n)
-    return None
 
 
 def _load_profile(grid, spec: dict):
@@ -413,10 +358,34 @@ def _load_generator(grid, spec: dict, n_per_unit: int):
         return Generator(mult.sample(grid), label="expr"), mult
     if "csv" in spec:
         return load_generator_csv(spec["csv"], grid), None
-    with open(spec["bump"], "r", encoding="utf-8") as fh:
-        bump = BumpSpec.from_dict(json.load(fh))
+    bump = _load_bump(spec["bump"])
     bump_grid = make_grid(bump.dilated, n_per_unit)
     return build_bump_generator(bump, bump_grid), None
+
+
+def _load_bump(path) -> BumpSpec:
+    """Bump spec file -> BumpSpec; a malformed spec is a ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    try:
+        return BumpSpec.from_dict(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad bump spec ({type(exc).__name__}: {exc})") from exc
+
+
+def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
+    """Refinement sweep of one check over the exponential system along ``ps``;
+    returns the sweep report and its (level, metric) plot."""
+    sweep = refine_check(
+        dom,
+        lambda g: exponential_system(g, ps),
+        phi_fn,
+        check=check,
+        levels=cfg.refine,
+        rank_tol=cfg.rank_tol,
+    )
+    rows = [[lv, m] for lv, m in zip(sweep.levels, sweep.metric_trend)]
+    return sweep, (["level", "metric"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +449,6 @@ def _cmd_frame_bounds(cfg: RunConfig):
     return {"report": report.to_dict()}, True, (["index", "eigenvalue"], rows)
 
 
-_SINGLE_CHECKS = {
-    "frame": check_frame_multiplication,
-    "tight": check_tight_multiplication,
-    "riesz": check_riesz_multiplication,
-    "bessel": check_bessel_multiplication,
-    "frame_sequence": check_frame_sequence_multiplication,
-}
-
-
 def _cmd_mult_check(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
     ps = load_pointset(cfg.inputs["pointset"])
@@ -498,34 +458,14 @@ def _cmd_mult_check(cfg: RunConfig):
     sweep = cfg.inputs.get("sweep", phi_fn is not None)
     if sweep and phi_fn is None:
         raise ConfigError("inputs/multiplier: a CSV multiplier cannot be resampled for a sweep")
-    base = exponential_system(grid, ps)
     if check == "converse":
+        base = exponential_system(grid, ps)
         report = check_converse(multiply_system(base, phi), phi, cfg.rank_tol)
         return {"check": report.to_dict()}, report.consistent, None
     if sweep:
-        executor = _executor_for_env()
-        try:
-            sweep_report = refine_check(
-                dom,
-                lambda g: exponential_system(g, ps),
-                phi_fn,
-                check=check,
-                levels=cfg.refine,
-                rank_tol=cfg.rank_tol,
-                executor=executor,
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown()
-        rows = [
-            [lv, m] for lv, m in zip(sweep_report.levels, sweep_report.metric_trend)
-        ]
-        return (
-            {"sweep": sweep_report.to_dict()},
-            sweep_report.consistent,
-            (["level", "metric"], rows),
-        )
-    report = _SINGLE_CHECKS[check](base, phi, rank_tol=cfg.rank_tol)
+        sweep_report, plot = _refine(cfg, dom, ps, phi_fn, check)
+        return {"sweep": sweep_report.to_dict()}, sweep_report.consistent, plot
+    report = _SINGLE_CHECKS[check](exponential_system(grid, ps), phi, rank_tol=cfg.rank_tol)
     return {"check": report.to_dict()}, report.consistent, None
 
 
@@ -542,32 +482,14 @@ def _cmd_translate_check(cfg: RunConfig):
     if sweep:
         if hat_fn is None:
             raise ConfigError("inputs/generator: only expression generators support sweeps")
-        executor = _executor_for_env()
-        try:
-            sweep_report = refine_check(
-                dom,
-                lambda g: exponential_system(g, ps),
-                hat_fn,
-                check="frame",
-                levels=cfg.refine,
-                rank_tol=cfg.rank_tol,
-                executor=executor,
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        sweep_report, plot = _refine(cfg, dom, ps, hat_fn, "frame")
         results["sweep"] = sweep_report.to_dict()
         passed = sweep_report.consistent
-        plot = (
-            ["level", "metric"],
-            [[lv, m] for lv, m in zip(sweep_report.levels, sweep_report.metric_trend)],
-        )
     return results, passed, plot
 
 
 def _cmd_build_generator(cfg: RunConfig):
-    with open(cfg.inputs["bump"], "r", encoding="utf-8") as fh:
-        spec = BumpSpec.from_dict(json.load(fh))
+    spec = _load_bump(cfg.inputs["bump"])
     grid = make_grid(spec.dilated, cfg.n_per_unit)
     gen = build_bump_generator(spec, grid)
     save_generator_csv(gen, cfg.inputs["csv_out"])
@@ -650,14 +572,13 @@ def _cmd_reconstruct(cfg: RunConfig):
 
 def _cmd_union_check(cfg: RunConfig):
     ps = load_pointset(cfg.inputs["pointset"])
-    parts = tuple(
-        UnionPart(
-            Domain(p["intervals"]),
-            parse_multiplier(p["expr"]),
-            label=p.get("label", str(j)),
-        )
-        for j, p in enumerate(cfg.inputs["parts"])
-    )
+    parts = []
+    for j, p in enumerate(cfg.inputs["parts"]):
+        try:
+            dom = Domain(p["intervals"])
+        except ValueError as exc:
+            raise ConfigError(f"inputs/parts/{j}/intervals: {exc}") from exc
+        parts.append(UnionPart(dom, parse_multiplier(p["expr"]), label=p.get("label", str(j))))
     spec = UnionSpec(parts, ps)
     if cfg.inputs.get("sweep", False):
         report = union_sweep(spec, levels=cfg.refine, rank_tol=cfg.rank_tol)
@@ -745,13 +666,14 @@ def run(cfg: RunConfig) -> int:
         "passed": bool(passed),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     try:
         if cfg.report_path:
-            _atomic_write_text(cfg.report_path, text)
+            _atomic_write(cfg.report_path, lambda fh: fh.write(text))
             if cfg.format == "csv" and plot is not None:
                 base, _ = os.path.splitext(cfg.report_path)
-                _atomic_write_rows(base + ".csv", plot[0], plot[1])
+                header, rows = plot
+                _atomic_write(base + ".csv", lambda fh: csv.writer(fh).writerows([header, *rows]))
         else:
             sys.stdout.write(text)
     except OSError as exc:

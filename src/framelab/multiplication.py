@@ -6,18 +6,28 @@ with nonzero values looks bounded below), so the decision threshold is not a
 single number: a refinement sweep certifies it by watching the essential
 infimum across grid doublings.  Stable means bounded below; a trace that keeps
 sinking means the infimum is heading to zero.
+
+Every check follows one pattern: multiply a system with bounds A, B by phi,
+and the product's bounds land in [A ess inf |phi|^2, B ess sup |phi|^2].
+Translate systems are the same pattern with phi = hhat acting on the
+exponential system, so their classification lives here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .domain import Domain, Grid, SampledFunction, extend_grid, make_grid
 from .errors import FrameLabError, HypothesisError
-from .framecore import FrameReport, SynthesisSystem, gram, measure_bounds
+from .framecore import FrameReport, SynthesisSystem, exponential_system, gram, measure_bounds
+from .pointset import PointSet
+
+if TYPE_CHECKING:
+    from .translates import Generator
 
 __all__ = [
     "MultiplierProfile",
@@ -61,8 +71,9 @@ class MultiplierProfile:
 
     @property
     def bounded_below_on_grid(self) -> bool:
-        """Single-grid surrogate: no zeros at this resolution."""
-        return self.zero_measure_fraction == 0.0
+        """Single-grid surrogate: no zeros at this resolution (every node
+        magnitude above ``zero_tol`` times the largest, and positive)."""
+        return self.ess_inf > self.zero_tol * self.ess_sup and self.ess_inf > 0.0
 
 
 def profile_multiplier(g: Grid, phi: SampledFunction, zero_tol: float = 1e-12) -> MultiplierProfile:
@@ -116,9 +127,52 @@ def trend_is_stable(values, stability: float = _STABILITY) -> bool:
     return values[-1] > 0.0 and values[-1] >= (1.0 - stability) * peak
 
 
+def refinement_levels(levels) -> tuple:
+    """The one level rule of every refinement sweep: at least two levels,
+    strictly increasing (a single level certifies no trend)."""
+    levels = tuple(int(l) for l in levels)
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(
+            f"a sweep needs at least two refinement levels, strictly increasing; got {list(levels)}"
+        )
+    return levels
+
+
+def within_envelope(envelope: tuple, bounds: tuple, slack: float = 1e-9) -> bool:
+    """Measured ``bounds`` (lo, hi) inside ``envelope`` (lo, hi), up to ``slack``
+    relative to the envelope's upper end."""
+    lo, hi = envelope
+    scale = max(abs(hi), 1e-300)
+    return bounds[0] >= lo - slack * scale - 1e-300 and bounds[1] <= hi + slack * scale
+
+
+def jsonable(obj):
+    """Recursively coerce report values into strict-JSON types."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
+    return obj
+
+
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Multiplier extrema across grid refinements of one domain."""
+    """Multiplier extrema across grid refinements of one domain.
+
+    ``samples`` holds the multiplier sampled on each level's grid, so sweeps
+    measure on the very grids the trace was taken on.
+    """
 
     levels: tuple
     ess_inf: tuple
@@ -128,6 +182,7 @@ class RefinementTrace:
     bounded_below_on_support: bool
     sup_stable: bool
     stability: float
+    samples: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -146,17 +201,14 @@ def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS,
                        stability: float = _STABILITY, zero_tol: float = 1e-12) -> RefinementTrace:
     """Sample a callable multiplier on successively finer grids and certify
     whether its magnitude stays bounded below (and its supremum stable)."""
-    levels = tuple(int(l) for l in levels)
-    if len(levels) < 2:
-        raise ValueError("refinement needs at least two levels")
+    levels = refinement_levels(levels)
+    samples = tuple(SampledFunction.from_callable(make_grid(dom, lv), phi_fn) for lv in levels)
     infs, sups, inf_sups = [], [], []
-    for lv in levels:
-        g = make_grid(dom, lv)
-        prof = profile_multiplier(g, SampledFunction.from_callable(g, phi_fn), zero_tol)
+    for phi in samples:
+        prof = profile_multiplier(phi.grid, phi, zero_tol)
         infs.append(prof.ess_inf)
         sups.append(prof.ess_sup)
         inf_sups.append(prof.ess_inf_support if math.isfinite(prof.ess_inf_support) else 0.0)
-    sup_stable = max(sups) <= (1.0 + stability) * min(sups) if min(sups) > 0 else False
     return RefinementTrace(
         levels=levels,
         ess_inf=tuple(infs),
@@ -164,8 +216,9 @@ def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS,
         ess_inf_support=tuple(inf_sups),
         bounded_below=trend_is_stable(infs, stability),
         bounded_below_on_support=trend_is_stable(inf_sups, stability),
-        sup_stable=sup_stable,
+        sup_stable=max(sups) <= (1.0 + stability) * min(sups) if min(sups) > 0 else False,
         stability=stability,
+        samples=samples,
     )
 
 
@@ -209,39 +262,284 @@ class MultCheckReport:
             "envelope": None if self.envelope is None else list(self.envelope),
             "envelope_holds": self.envelope_holds,
             "consistent": self.consistent,
-            "details": _plain(self.details),
+            "details": jsonable(self.details),
         }
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+# ---------------------------------------------------------------------------
+# the check skeleton: prepare -> hypothesis -> predict/measure -> envelope ->
+# report.  Each kind supplies the parts that differ.
 
 
-def _within(lo: float, hi: float, bounds: tuple, slack: float = 1e-9) -> bool:
-    scale = max(abs(hi), 1e-300)
-    return bounds[0] >= lo - slack * scale - 1e-300 and bounds[1] <= hi + slack * scale
+class _Prepared(NamedTuple):
+    base_report: FrameReport
+    profile: MultiplierProfile
+    mult: SynthesisSystem
+    mult_report: FrameReport
 
 
-def _prepare(sys: SynthesisSystem, phi: SampledFunction, rank_tol: float, zero_tol: float):
+def _prepare(sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
+             zero_tol: float) -> _Prepared:
     base_report = measure_bounds(sys, rank_tol)
     profile = profile_multiplier(sys.grid, phi, zero_tol)
     mult = multiply_system(sys, phi)
-    mult_report = measure_bounds(mult, rank_tol)
-    return base_report, profile, mult, mult_report
+    return _Prepared(base_report, profile, mult, measure_bounds(mult, rank_tol))
+
+
+def _prepare_converse(sys_mult: SynthesisSystem, phi: SampledFunction, rank_tol: float,
+                      zero_tol: float) -> _Prepared:
+    """Divide the multiplier back out: the recovered system plays the base."""
+    profile = profile_multiplier(sys_mult.grid, phi, zero_tol)
+    if not profile.bounded_below_on_grid:
+        raise FrameLabError("division by near-zero multiplier")
+    mult_report = measure_bounds(sys_mult, rank_tol)
+    recovered = multiply_system(sys_mult, SampledFunction(sys_mult.grid, 1.0 / phi.values))
+    return _Prepared(measure_bounds(recovered, rank_tol), profile, sys_mult, mult_report)
+
+
+def _bounds(report: FrameReport) -> tuple:
+    return (report.lower, report.upper)
+
+
+def _product_envelope(p: _Prepared) -> tuple:
+    return (p.base_report.lower * p.profile.ess_inf**2, p.base_report.upper * p.profile.ess_sup**2)
 
 
 def _bounded_below(profile: MultiplierProfile, trace: RefinementTrace | None) -> bool:
+    return trace.bounded_below if trace is not None else profile.bounded_below_on_grid
+
+
+def _bounded_below_on_support(profile: MultiplierProfile, trace: RefinementTrace | None) -> bool:
     if trace is not None:
-        return trace.bounded_below
-    return profile.bounded_below_on_grid and profile.ess_inf > 0.0
+        return trace.bounded_below_on_support
+    return math.isfinite(profile.ess_inf_support) and profile.ess_inf_support > 0.0
+
+
+# Judges: (prepared, trace, slack, **options) -> (predicted, measured,
+# envelope, envelope_holds, other conditions hold, details).
+
+
+def _judge_frame(p, trace, slack):
+    predicted = {
+        "frame": _bounded_below(p.profile, trace),
+        "complete": p.profile.zero_measure_fraction == 0.0,
+    }
+    measured = {
+        "frame": p.mult_report.flags.frame_for_whole_space,
+        "complete": p.mult_report.rank == p.mult_report.dim_space,
+    }
+    envelope = _product_envelope(p)
+    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report), slack)
+    return predicted, measured, envelope, holds, True, {}
+
+
+def _judge_tight(p, trace, slack):
+    prof = p.profile
+    unimodular = prof.ess_inf > 0.0 and (prof.ess_sup - prof.ess_inf) <= 1e-8 * prof.ess_sup
+    flags = p.mult_report.flags
+    envelope = _product_envelope(p)
+    holds = within_envelope(envelope, _bounds(p.mult_report), slack)
+    spread = p.mult_report.upper - p.mult_report.lower
+    return ({"tight": unimodular}, {"tight": flags.tight and flags.frame_for_whole_space},
+            envelope, holds, True, {"spread": spread})
+
+
+def _judge_riesz(p, trace, slack):
+    predicted = {"riesz": _bounded_below(p.profile, trace)}
+    rep = p.mult_report
+    measured = {"riesz": rep.flags.riesz_sequence and rep.rank == rep.dim_space}
+    g_eigs = np.linalg.eigvalsh(gram(p.mult))
+    g_extremes = (float(max(g_eigs[0], 0.0)), float(max(g_eigs[-1], 0.0)))
+    base_g = p.base_report.gram_extremes
+    envelope = (base_g[0] * p.profile.ess_inf**2, base_g[1] * p.profile.ess_sup**2)
+    holds = not predicted["riesz"] or within_envelope(envelope, g_extremes, slack)
+    return predicted, measured, envelope, holds, True, {"gram_extremes": g_extremes}
+
+
+def _judge_bessel(p, trace, slack):
+    bound = p.base_report.upper * p.profile.ess_sup**2
+    holds = p.mult_report.upper <= bound * (1 + slack) + 1e-300
+    measured = {"bessel": p.mult_report.flags.bessel}
+    details = {
+        "upper_bound": bound,
+        "unbounded_trend": trace is not None and not trace.sup_stable,
+    }
+    return {"bessel": True}, measured, (0.0, bound), holds, True, details
+
+
+def _judge_frame_sequence(p, trace, slack, ambient_pad_cells):
+    """Three measurements: the rank matches the support node count; the
+    retained bounds land in the support-restricted envelope; and padding the
+    ambient domain with zero cells moves nothing."""
+    prof, mult, mult_report = p.profile, p.mult, p.mult_report
+    if prof.support_domain is None:
+        raise FrameLabError("zero multiplier: empty support")
+    n_support = int(prof.support_mask.sum())
+    rank_ok = mult_report.rank == n_support
+    predicted = {"frame_sequence": _bounded_below_on_support(prof, trace)}
+    measured = {"frame_sequence": mult_report.flags.frame_sequence}
+    inf_support = prof.ess_inf_support if math.isfinite(prof.ess_inf_support) else 0.0
+    envelope = (p.base_report.lower * inf_support**2, p.base_report.upper * prof.ess_sup**2)
+    holds = not predicted["frame_sequence"] or within_envelope(
+        envelope, _bounds(mult_report), slack
+    )
+
+    pad = ambient_pad_cells
+    big_grid = extend_grid(mult.grid, pad, pad)
+    big_members = np.zeros((big_grid.size, mult.size), dtype=complex)
+    big_members[pad : pad + mult.grid.size, :] = mult.matrix
+    big_report = measure_bounds(
+        SynthesisSystem(big_grid, big_members, mult.labels), mult_report.rank_tol
+    )
+    scale = max(mult_report.upper, 1e-300)
+    ambient_ok = (
+        big_report.rank == mult_report.rank
+        and abs(big_report.lower - mult_report.lower) <= 1e-10 * scale
+        and abs(big_report.upper - mult_report.upper) <= 1e-10 * scale
+    )
+    details = {
+        "support_nodes": n_support,
+        "rank_matches_support": bool(rank_ok),
+        "ambient_invariant": bool(ambient_ok),
+        "ambient_bounds": _bounds(big_report),
+        "ess_inf_support": prof.ess_inf_support,
+    }
+    return predicted, measured, envelope, holds, rank_ok and ambient_ok, details
+
+
+def _judge_converse(p, trace, slack):
+    envelope = (
+        p.mult_report.lower / p.profile.ess_sup**2,
+        p.mult_report.upper / p.profile.ess_inf**2,
+    )
+    holds = within_envelope(envelope, _bounds(p.base_report), slack)
+    measured = {"frame": p.base_report.flags.frame_for_whole_space}
+    return {"frame": True}, measured, envelope, holds, True, {}
+
+
+def _judge_translates(p, trace, slack, label):
+    n_support = int(p.profile.support_mask.sum())
+    rank_ok = p.mult_report.rank == n_support
+    flags = p.mult_report.flags
+    predicted = {
+        "bessel": True,
+        "frame": _bounded_below(p.profile, trace),
+        "frame_sequence": _bounded_below_on_support(p.profile, trace),
+    }
+    measured = {
+        "bessel": flags.bessel,
+        "frame": flags.frame_for_whole_space,
+        "frame_sequence": flags.frame_sequence,
+    }
+    envelope = _product_envelope(p)
+    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report), slack)
+    details = {
+        "generator": label,
+        "support_nodes": n_support,
+        "rank_matches_support": bool(rank_ok),
+    }
+    return predicted, measured, envelope, holds, rank_ok, details
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One check kind, as the skeleton and refinement sweeps read it.
+
+    The skeleton runs ``prepare``, demands ``hypothesis`` (None: no
+    hypothesis; ``violation`` says what failed) and lets ``judge`` predict,
+    measure and bracket.  A sweep traces ``metric`` per level, takes its
+    prediction from ``predict(trace, reports)``, its measurement from
+    ``trend(metric, reports, stability)`` and requires ``level_ok`` of every
+    level report.
+    """
+
+    prepare: Callable
+    hypothesis: Callable | None
+    violation: str
+    judge: Callable
+    traced: bool = True
+    metric: Callable | None = None
+    predict: Callable | None = None
+    trend: Callable = lambda metric, reports, stability: trend_is_stable(metric, stability)
+    level_ok: Callable = lambda r: r.envelope_holds
+
+
+_NOT_A_FRAME = "base system is not a frame of the whole space"
+
+
+def _is_frame(p: _Prepared) -> bool:
+    return p.base_report.flags.frame_for_whole_space
+
+
+_KINDS = {
+    "frame": _Kind(
+        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame,
+        metric=lambda r: r.mult_report.lower,
+        predict=lambda trace, reports: trace.bounded_below,
+    ),
+    "tight": _Kind(
+        _prepare, lambda p: p.base_report.flags.tight and _is_frame(p),
+        "base system is not a tight frame", _judge_tight,
+        metric=lambda r: r.mult_report.upper - r.mult_report.lower,
+        predict=lambda trace, reports: reports[0].predicted["tight"],
+        trend=lambda metric, reports, stability: all(r.measured["tight"] for r in reports),
+    ),
+    "riesz": _Kind(
+        _prepare,
+        lambda p: p.base_report.flags.riesz_sequence
+        and p.base_report.rank == p.base_report.dim_space,
+        "base system is not a Riesz basis", _judge_riesz,
+        metric=lambda r: r.details["gram_extremes"][0],
+        predict=lambda trace, reports: trace.bounded_below,
+    ),
+    "bessel": _Kind(
+        _prepare, None, "", _judge_bessel,
+        metric=lambda r: r.mult_report.upper,
+        predict=lambda trace, reports: trace.sup_stable,
+        # the supremum trace's rule: the largest level stays near the smallest
+        trend=lambda m, reports, s: max(m) <= (1.0 + s) * min(m) if min(m) > 0 else False,
+        level_ok=lambda r: r.consistent,
+    ),
+    "frame_sequence": _Kind(
+        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame_sequence,
+        metric=lambda r: r.mult_report.lower,
+        predict=lambda trace, reports: trace.bounded_below_on_support,
+    ),
+    "converse": _Kind(
+        _prepare_converse, lambda p: p.mult_report.flags.frame_for_whole_space,
+        "multiplied system is not a frame", _judge_converse, traced=False,
+    ),
+    "translates": _Kind(
+        _prepare, _is_frame, "the exponential system is not a frame of the sampled band",
+        _judge_translates,
+    ),
+}
+
+
+def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
+               zero_tol: float, trace: RefinementTrace | None, slack: float,
+               **options) -> MultCheckReport:
+    kind = _KINDS[check]
+    prepared = kind.prepare(sys, phi, rank_tol, zero_tol)
+    if kind.hypothesis is not None and not kind.hypothesis(prepared):
+        raise HypothesisError(f"hypothesis violated: {kind.violation}")
+    predicted, measured, envelope, holds, others_hold, details = kind.judge(
+        prepared, trace, slack, **options
+    )
+    if kind.traced:
+        details["trace"] = None if trace is None else trace.to_dict()
+    return MultCheckReport(
+        check=check,
+        profile=prepared.profile,
+        base_report=prepared.base_report,
+        mult_report=prepared.mult_report,
+        predicted=predicted,
+        measured=measured,
+        envelope=envelope,
+        envelope_holds=bool(holds),
+        consistent=bool(predicted == measured and holds and others_hold),
+        details=details,
+    )
 
 
 def check_frame_multiplication(sys: SynthesisSystem, phi: SampledFunction,
@@ -255,37 +553,7 @@ def check_frame_multiplication(sys: SynthesisSystem, phi: SampledFunction,
     measured from the spectrum of the multiplied system.  Completeness rides
     along: a multiplier with no zero cells keeps the span full.
     """
-    base_report, profile, _, mult_report = _prepare(sys, phi, rank_tol, zero_tol)
-    if not base_report.flags.frame_for_whole_space:
-        raise HypothesisError("hypothesis violated: base system is not a frame of the whole space")
-    predicted = {
-        "frame": _bounded_below(profile, trace),
-        "complete": profile.zero_measure_fraction == 0.0,
-    }
-    measured = {
-        "frame": mult_report.flags.frame_for_whole_space,
-        "complete": mult_report.rank == mult_report.dim_space,
-    }
-    envelope = (
-        base_report.lower * profile.ess_inf**2,
-        base_report.upper * profile.ess_sup**2,
-    )
-    env_ok = (not predicted["frame"]) or _within(
-        envelope[0], envelope[1], (mult_report.lower, mult_report.upper), slack
-    )
-    consistent = predicted == measured and env_ok
-    return MultCheckReport(
-        check="frame",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=envelope,
-        envelope_holds=env_ok,
-        consistent=bool(consistent),
-        details={"trace": None if trace is None else trace.to_dict()},
-    )
+    return _run_check("frame", sys, phi, rank_tol, zero_tol, trace, slack)
 
 
 def check_tight_multiplication(sys: SynthesisSystem, phi: SampledFunction,
@@ -294,34 +562,7 @@ def check_tight_multiplication(sys: SynthesisSystem, phi: SampledFunction,
                                slack: float = 1e-9) -> MultCheckReport:
     """Does a tight base stay tight?  Only constant-magnitude multipliers keep
     the spread at zero."""
-    base_report, profile, _, mult_report = _prepare(sys, phi, rank_tol, zero_tol)
-    if not (base_report.flags.tight and base_report.flags.frame_for_whole_space):
-        raise HypothesisError("hypothesis violated: base system is not a tight frame")
-    unimodular = (
-        profile.ess_inf > 0.0
-        and (profile.ess_sup - profile.ess_inf) <= 1e-8 * profile.ess_sup
-    )
-    predicted = {"tight": unimodular}
-    measured = {"tight": mult_report.flags.tight and mult_report.flags.frame_for_whole_space}
-    envelope = (
-        base_report.lower * profile.ess_inf**2,
-        base_report.upper * profile.ess_sup**2,
-    )
-    env_ok = _within(envelope[0], envelope[1], (mult_report.lower, mult_report.upper), slack)
-    spread = mult_report.upper - mult_report.lower
-    consistent = predicted == measured and env_ok
-    return MultCheckReport(
-        check="tight",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=envelope,
-        envelope_holds=env_ok,
-        consistent=bool(consistent),
-        details={"spread": spread, "trace": None if trace is None else trace.to_dict()},
-    )
+    return _run_check("tight", sys, phi, rank_tol, zero_tol, trace, slack)
 
 
 def check_riesz_multiplication(sys: SynthesisSystem, phi: SampledFunction,
@@ -329,34 +570,7 @@ def check_riesz_multiplication(sys: SynthesisSystem, phi: SampledFunction,
                                trace: RefinementTrace | None = None,
                                slack: float = 1e-9) -> MultCheckReport:
     """Does a Riesz basis stay a Riesz basis?  Measured on the Gram spectrum."""
-    base_report, profile, mult, mult_report = _prepare(sys, phi, rank_tol, zero_tol)
-    if not (base_report.flags.riesz_sequence and base_report.rank == base_report.dim_space):
-        raise HypothesisError("hypothesis violated: base system is not a Riesz basis")
-    predicted = {"riesz": _bounded_below(profile, trace)}
-    measured = {
-        "riesz": mult_report.flags.riesz_sequence and mult_report.rank == mult_report.dim_space
-    }
-    g_eigs = np.linalg.eigvalsh(gram(mult))
-    g_min, g_max = float(max(g_eigs[0], 0.0)), float(max(g_eigs[-1], 0.0))
-    base_g = base_report.gram_extremes
-    envelope = (base_g[0] * profile.ess_inf**2, base_g[1] * profile.ess_sup**2)
-    env_ok = (not predicted["riesz"]) or _within(envelope[0], envelope[1], (g_min, g_max), slack)
-    consistent = predicted == measured and env_ok
-    return MultCheckReport(
-        check="riesz",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=envelope,
-        envelope_holds=env_ok,
-        consistent=bool(consistent),
-        details={
-            "gram_extremes": (g_min, g_max),
-            "trace": None if trace is None else trace.to_dict(),
-        },
-    )
+    return _run_check("riesz", sys, phi, rank_tol, zero_tol, trace, slack)
 
 
 def check_bessel_multiplication(sys: SynthesisSystem, phi: SampledFunction,
@@ -366,29 +580,7 @@ def check_bessel_multiplication(sys: SynthesisSystem, phi: SampledFunction,
     """Upper-bound control: the multiplied upper bound sits below
     base_upper * ess_sup^2.  A growing supremum trace flags an unbounded
     multiplier being emulated at grid scale."""
-    base_report, profile, _, mult_report = _prepare(sys, phi, rank_tol, zero_tol)
-    bound = base_report.upper * profile.ess_sup**2
-    quantitative = mult_report.upper <= bound * (1 + slack) + 1e-300
-    predicted = {"bessel": True}
-    measured = {"bessel": mult_report.flags.bessel}
-    unbounded_trend = trace is not None and not trace.sup_stable
-    consistent = quantitative and predicted == measured
-    return MultCheckReport(
-        check="bessel",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=(0.0, bound),
-        envelope_holds=bool(quantitative),
-        consistent=bool(consistent),
-        details={
-            "upper_bound": bound,
-            "unbounded_trend": bool(unbounded_trend),
-            "trace": None if trace is None else trace.to_dict(),
-        },
-    )
+    return _run_check("bessel", sys, phi, rank_tol, zero_tol, trace, slack)
 
 
 def check_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
@@ -397,35 +589,7 @@ def check_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
     """Given {phi psi_k} measured as a frame and a multiplier bounded away
     from zero, recover the base system by dividing and check its bounds land
     in [alpha / ess_sup^2, beta / ess_inf^2]."""
-    profile = profile_multiplier(sys_mult.grid, phi, zero_tol)
-    if profile.ess_inf <= profile.zero_tol * profile.ess_sup or profile.ess_inf <= 0.0:
-        raise FrameLabError("division by near-zero multiplier")
-    mult_report = measure_bounds(sys_mult, rank_tol)
-    if not mult_report.flags.frame_for_whole_space:
-        raise HypothesisError("hypothesis violated: multiplied system is not a frame")
-    inv = SampledFunction(sys_mult.grid, 1.0 / phi.values)
-    recovered = multiply_system(sys_mult, inv)
-    base_report = measure_bounds(recovered, rank_tol)
-    envelope = (
-        mult_report.lower / profile.ess_sup**2,
-        mult_report.upper / profile.ess_inf**2,
-    )
-    env_ok = _within(envelope[0], envelope[1], (base_report.lower, base_report.upper), slack)
-    predicted = {"frame": True}
-    measured = {"frame": base_report.flags.frame_for_whole_space}
-    consistent = predicted == measured and env_ok
-    return MultCheckReport(
-        check="converse",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=envelope,
-        envelope_holds=env_ok,
-        consistent=bool(consistent),
-        details={},
-    )
+    return _run_check("converse", sys_mult, phi, rank_tol, zero_tol, None, slack)
 
 
 def check_frame_sequence_multiplication(sys: SynthesisSystem, phi: SampledFunction,
@@ -441,64 +605,23 @@ def check_frame_sequence_multiplication(sys: SynthesisSystem, phi: SampledFuncti
     ambient domain with zero cells moves nothing (the verdict belongs to the
     span, not the ambient space).
     """
-    base_report, profile, mult, mult_report = _prepare(sys, phi, rank_tol, zero_tol)
-    if not base_report.flags.frame_for_whole_space:
-        raise HypothesisError("hypothesis violated: base system is not a frame of the whole space")
-    if profile.support_domain is None:
-        raise FrameLabError("zero multiplier: empty support")
-    n_support = int(profile.support_mask.sum())
-    part1_rank_ok = mult_report.rank == n_support
+    return _run_check("frame_sequence", sys, phi, rank_tol, zero_tol, trace, slack,
+                      ambient_pad_cells=ambient_pad_cells)
 
-    if trace is not None:
-        predicted_fs = trace.bounded_below_on_support
-    else:
-        predicted_fs = math.isfinite(profile.ess_inf_support) and profile.ess_inf_support > 0.0
-    predicted = {"frame_sequence": predicted_fs}
-    measured = {"frame_sequence": mult_report.flags.frame_sequence}
 
-    inf_support = profile.ess_inf_support if math.isfinite(profile.ess_inf_support) else 0.0
-    envelope = (
-        base_report.lower * inf_support**2,
-        base_report.upper * profile.ess_sup**2,
-    )
-    env_ok = (not predicted_fs) or _within(
-        envelope[0], envelope[1], (mult_report.lower, mult_report.upper), slack
-    )
+def classify_translates(gen: Generator, ps: PointSet, rank_tol: float = 1e-8,
+                        zero_tol: float = 1e-12,
+                        trace: RefinementTrace | None = None,
+                        slack: float = 1e-9) -> MultCheckReport:
+    """Frame status of the translate system, via the multiplier dictionary.
 
-    big_grid = extend_grid(sys.grid, ambient_pad_cells, ambient_pad_cells)
-    pad = ambient_pad_cells
-    big_phi = np.zeros(big_grid.size, dtype=complex)
-    big_phi[pad : pad + sys.grid.size] = phi.values
-    big_members = np.zeros((big_grid.size, mult.size), dtype=complex)
-    big_members[pad : pad + sys.grid.size, :] = mult.matrix
-    big_report = measure_bounds(SynthesisSystem(big_grid, big_members, mult.labels), rank_tol)
-    scale = max(mult_report.upper, 1e-300)
-    part3_ok = (
-        big_report.rank == mult_report.rank
-        and abs(big_report.lower - mult_report.lower) <= 1e-10 * scale
-        and abs(big_report.upper - mult_report.upper) <= 1e-10 * scale
-    )
-
-    consistent = predicted == measured and part1_rank_ok and env_ok and part3_ok
-    return MultCheckReport(
-        check="frame_sequence",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=envelope,
-        envelope_holds=env_ok,
-        consistent=bool(consistent),
-        details={
-            "support_nodes": n_support,
-            "rank_matches_support": bool(part1_rank_ok),
-            "ambient_invariant": bool(part3_ok),
-            "ambient_bounds": (big_report.lower, big_report.upper),
-            "ess_inf_support": profile.ess_inf_support,
-            "trace": None if trace is None else trace.to_dict(),
-        },
-    )
+    The exponential system on the frequency grid must itself be a frame of
+    the sampled space; the generator's spectrum then acts as the multiplier.
+    Predictions: always Bessel; frame iff |hhat| bounded below on the band;
+    frame sequence for the subspace carried by the support of hhat.
+    """
+    return _run_check("translates", exponential_system(gen.grid, ps), gen.hat, rank_tol,
+                      zero_tol, trace, slack, label=gen.label)
 
 
 _CHECKS = {
@@ -543,8 +666,7 @@ class MultSweepReport:
 
 def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
                  levels=_DEFAULT_LEVELS, rank_tol: float = 1e-8,
-                 zero_tol: float = 1e-12, stability: float = _STABILITY,
-                 executor=None) -> MultSweepReport:
+                 zero_tol: float = 1e-12, stability: float = _STABILITY) -> MultSweepReport:
     """Run one multiplier check across grid refinements and certify the trend.
 
     ``system_factory(grid)`` builds the base system at each level;
@@ -554,50 +676,23 @@ def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check kind {check!r}")
-    levels = tuple(int(l) for l in levels)
+    kind = _KINDS[check]
     trace = profile_refinement(dom, phi_fn, levels, stability, zero_tol)
-
-    def run_level(lv: int) -> MultCheckReport:
-        g = make_grid(dom, lv)
-        sys_l = system_factory(g)
-        phi_l = SampledFunction.from_callable(g, phi_fn)
-        return _CHECKS[check](sys_l, phi_l, rank_tol=rank_tol, zero_tol=zero_tol, trace=trace)
-
-    if executor is None:
-        reports = [run_level(lv) for lv in levels]
-    else:
-        reports = list(executor.map(run_level, levels))
-
-    if check == "riesz":
-        metric = [r.details["gram_extremes"][0] for r in reports]
-        predicted = trace.bounded_below
-        measured = trend_is_stable(metric, stability)
-    elif check == "bessel":
-        metric = [r.mult_report.upper for r in reports]
-        predicted = trace.sup_stable
-        measured = max(metric) <= (1.0 + stability) * min(metric) if min(metric) > 0 else False
-    elif check == "frame_sequence":
-        metric = [r.mult_report.lower for r in reports]
-        predicted = trace.bounded_below_on_support
-        measured = trend_is_stable(metric, stability)
-    elif check == "tight":
-        metric = [r.mult_report.upper - r.mult_report.lower for r in reports]
-        predicted = reports[0].predicted["tight"]
-        measured = all(r.measured["tight"] for r in reports)
-    else:
-        metric = [r.mult_report.lower for r in reports]
-        predicted = trace.bounded_below
-        measured = trend_is_stable(metric, stability)
-
-    envelopes_ok = all(r.envelope_holds in (None, True) for r in reports)
-    quantitative_ok = envelopes_ok if check != "bessel" else all(r.consistent for r in reports)
-    consistent = (predicted == measured) and quantitative_ok
+    reports = [
+        _CHECKS[check](system_factory(phi.grid), phi, rank_tol=rank_tol, zero_tol=zero_tol,
+                       trace=trace)
+        for phi in trace.samples
+    ]
+    metric = [float(kind.metric(r)) for r in reports]
+    predicted = kind.predict(trace, reports)
+    measured = kind.trend(metric, reports, stability)
+    consistent = predicted == measured and all(kind.level_ok(r) for r in reports)
     return MultSweepReport(
         check=check,
-        levels=levels,
+        levels=trace.levels,
         reports=tuple(reports),
         trace=trace,
-        metric_trend=tuple(float(m) for m in metric),
+        metric_trend=tuple(metric),
         predicted_flag=bool(predicted),
         measured_flag=bool(measured),
         consistent=bool(consistent),

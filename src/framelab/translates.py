@@ -29,14 +29,15 @@ from .framecore import (
     reconstruct,
 )
 from .multiplication import (
-    MultCheckReport,
     RefinementTrace,
-    _bounded_below,
-    _within,
+    classify_translates,
+    jsonable,
     multiply_system,
     profile_multiplier,
     profile_refinement,
+    refinement_levels,
     trend_is_stable,
+    within_envelope,
 )
 from .pointset import PointSet
 
@@ -202,71 +203,6 @@ def translate_system(gen: Generator, ps: PointSet, freq_grid: Grid) -> Synthesis
     return multiply_system(exponential_system(freq_grid, ps), gen.hat)
 
 
-def classify_translates(gen: Generator, ps: PointSet, rank_tol: float = 1e-8,
-                        zero_tol: float = 1e-12,
-                        trace: RefinementTrace | None = None,
-                        slack: float = 1e-9) -> MultCheckReport:
-    """Frame status of the translate system, via the multiplier dictionary.
-
-    The exponential system on the frequency grid must itself be a frame of
-    the sampled space; the generator's spectrum then acts as the multiplier.
-    Predictions: always Bessel; frame iff |hhat| bounded below on the band;
-    frame sequence for the subspace carried by the support of hhat.
-    """
-    grid = gen.grid
-    base = exponential_system(grid, ps)
-    base_report = measure_bounds(base, rank_tol)
-    if not base_report.flags.frame_for_whole_space:
-        raise HypothesisError(
-            "hypothesis violated: the exponential system is not a frame of the sampled band"
-        )
-    profile = profile_multiplier(grid, gen.hat, zero_tol)
-    mult = multiply_system(base, gen.hat)
-    mult_report = measure_bounds(mult, rank_tol)
-    n_support = int(profile.support_mask.sum())
-
-    if trace is not None:
-        fs_predicted = trace.bounded_below_on_support
-    else:
-        fs_predicted = math.isfinite(profile.ess_inf_support) and profile.ess_inf_support > 0.0
-    predicted = {
-        "bessel": True,
-        "frame": _bounded_below(profile, trace),
-        "frame_sequence": fs_predicted,
-    }
-    measured = {
-        "bessel": mult_report.flags.bessel,
-        "frame": mult_report.flags.frame_for_whole_space,
-        "frame_sequence": mult_report.flags.frame_sequence,
-    }
-    envelope = (
-        base_report.lower * profile.ess_inf**2,
-        base_report.upper * profile.ess_sup**2,
-    )
-    env_ok = (not predicted["frame"]) or _within(
-        envelope[0], envelope[1], (mult_report.lower, mult_report.upper), slack
-    )
-    rank_ok = mult_report.rank == n_support
-    consistent = predicted == measured and env_ok and rank_ok
-    return MultCheckReport(
-        check="translates",
-        profile=profile,
-        base_report=base_report,
-        mult_report=mult_report,
-        predicted=predicted,
-        measured=measured,
-        envelope=envelope,
-        envelope_holds=env_ok,
-        consistent=bool(consistent),
-        details={
-            "generator": gen.label,
-            "support_nodes": n_support,
-            "rank_matches_support": bool(rank_ok),
-            "trace": None if trace is None else trace.to_dict(),
-        },
-    )
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     """Lower-bound trend of a translate system across grid refinements.
@@ -321,26 +257,20 @@ def obstruction_trend(dom: Domain, hat_fn, levels=(64, 128, 256),
     """
     if len(dom.intervals) != 1:
         raise FrameLabError("the obstruction sweep uses a single-interval band")
-    levels = tuple(int(l) for l in levels)
-    if len(levels) < 2:
-        raise ValueError("need at least two refinement levels")
+    hat_trace = profile_refinement(dom, hat_fn, levels, stability)
     make_ps = lattice_for if lattice_for is not None else matched_lattice
     lowers = []
-    for lv in levels:
-        g = make_grid(dom, lv)
-        ps = make_ps(g)
-        base = exponential_system(g, ps)
-        hat = SampledFunction.from_callable(g, hat_fn)
+    for hat in hat_trace.samples:
+        base = exponential_system(hat.grid, make_ps(hat.grid))
         rep = measure_bounds(multiply_system(base, hat), rank_tol)
         lowers.append(rep.lower)
     ratios = tuple(
         lowers[i + 1] / lowers[i] if lowers[i] > 0 else math.inf for i in range(len(lowers) - 1)
     )
-    hat_trace = profile_refinement(dom, hat_fn, levels, stability)
     predicted = not hat_trace.bounded_below
     measured = not trend_is_stable(lowers, stability)
     return ObstructionReport(
-        levels=levels,
+        levels=hat_trace.levels,
         lower_bounds=tuple(lowers),
         ratios=ratios,
         hat_trace=hat_trace,
@@ -527,7 +457,7 @@ class ConvolutionReport:
             "quotient_range": None if self.quotient_range is None else list(self.quotient_range),
             "within": self.within,
             "consistent": self.consistent,
-            "details": {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.details.items()},
+            "details": jsonable(self.details),
         }
 
 
@@ -563,120 +493,71 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         "factor_inf": (prof_f.ess_inf, prof_g.ess_inf),
     }
 
-    def bounded_below(prof) -> bool:
-        return prof.ess_inf > prof.zero_tol * prof.ess_sup and prof.ess_inf > 0.0
-
+    product_report = envelope = quotient_range = None
     if mode == "bessel":
         product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
-        hi = M * (prof_f.ess_sup * prof_g.ess_sup) ** 2
-        within = product_report.upper <= hi * (1 + slack) + 1e-300
-        return ConvolutionReport(
-            mode=mode,
-            exp_report=exp_report,
-            product_report=product_report,
-            envelope=(0.0, hi),
-            measured=(product_report.lower, product_report.upper),
-            quotient_range=None,
-            within=bool(within),
-            consistent=bool(within),
-            details=details,
-        )
-
-    if mode == "frame":
+        envelope = (0.0, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
+        within = ok = product_report.upper <= envelope[1] * (1 + slack) + 1e-300
+    elif mode == "frame":
         if not exp_report.flags.frame_for_whole_space:
             raise HypothesisError("hypothesis violated: exponentials are not a frame of the band")
-        if not (bounded_below(prof_f) and bounded_below(prof_g)):
+        if not (prof_f.bounded_below_on_grid and prof_g.bounded_below_on_grid):
             raise HypothesisError("hypothesis violated: a factor is not bounded below on the band")
         product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
-        env = (
+        envelope = (
             m * (prof_f.ess_inf * prof_g.ess_inf) ** 2,
             M * (prof_f.ess_sup * prof_g.ess_sup) ** 2,
         )
-        within = _within(env[0], env[1], (product_report.lower, product_report.upper), slack)
+        within = within_envelope(envelope, (product_report.lower, product_report.upper), slack)
         ok = within and product_report.flags.frame_for_whole_space
-        return ConvolutionReport(
-            mode=mode,
-            exp_report=exp_report,
-            product_report=product_report,
-            envelope=env,
-            measured=(product_report.lower, product_report.upper),
-            quotient_range=None,
-            within=bool(within),
-            consistent=bool(ok),
-            details=details,
-        )
-
-    if mode == "frame_sequence":
+    elif mode == "frame_sequence":
         mask = prof_p.support_mask
         if not mask.any():
             raise FrameLabError("zero product: supports do not intersect")
         inf_f = float(np.abs(gen_f.hat.values[mask]).min())
         inf_g = float(np.abs(gen_g.hat.values[mask]).min())
         product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
-        env = (m * (inf_f * inf_g) ** 2, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
-        within = _within(env[0], env[1], (product_report.lower, product_report.upper), slack)
+        envelope = (m * (inf_f * inf_g) ** 2, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
+        within = within_envelope(envelope, (product_report.lower, product_report.upper), slack)
         rank_ok = product_report.rank == int(mask.sum())
         details["support_nodes"] = int(mask.sum())
         details["rank_matches_support"] = bool(rank_ok)
-        return ConvolutionReport(
-            mode=mode,
-            exp_report=exp_report,
-            product_report=product_report,
-            envelope=env,
-            measured=(product_report.lower, product_report.upper),
-            quotient_range=None,
-            within=bool(within),
-            consistent=bool(within and rank_ok),
-            details=details,
-        )
-
-    if mode == "quotient":
-        if not bounded_below(prof_f):
+        ok = within and rank_ok
+    elif mode == "quotient":
+        if not prof_f.bounded_below_on_grid:
             raise FrameLabError("first factor is not bounded below; quotient is unbounded")
-        lo = prof_p.ess_inf / prof_f.ess_sup
-        hi = prof_p.ess_sup / prof_f.ess_inf
+        quotient_range = (prof_p.ess_inf / prof_f.ess_sup, prof_p.ess_sup / prof_f.ess_inf)
         g_mag = np.abs(gen_g.hat.values)
-        within = (
-            float(g_mag.min()) >= lo * (1 - slack) - 1e-300
-            and float(g_mag.max()) <= hi * (1 + slack) + 1e-300
+        within = ok = (
+            float(g_mag.min()) >= quotient_range[0] * (1 - slack) - 1e-300
+            and float(g_mag.max()) <= quotient_range[1] * (1 + slack) + 1e-300
         )
         details["g_range"] = (float(g_mag.min()), float(g_mag.max()))
-        return ConvolutionReport(
-            mode=mode,
-            exp_report=exp_report,
-            product_report=None,
-            envelope=None,
-            measured=None,
-            quotient_range=(lo, hi),
-            within=bool(within),
-            consistent=bool(within),
-            details=details,
+    else:  # bessel_quotient
+        if floor is None:
+            floor = prof_f.ess_inf
+        if floor <= prof_f.zero_tol * prof_f.ess_sup or floor <= 0.0:
+            raise FrameLabError("first factor is not bounded below by a positive floor")
+        if prof_f.ess_inf < floor * (1 - 1e-12):
+            raise FrameLabError("declared floor exceeds the first factor's actual infimum")
+        sup_bound = prof_p.ess_sup / floor
+        product_report = measure_bounds(multiply_system(exp, gen_g.hat), rank_tol)
+        envelope = (0.0, M * sup_bound**2)
+        quotient_range = (0.0, sup_bound)
+        within = ok = (
+            prof_g.ess_sup <= sup_bound * (1 + slack)
+            and product_report.upper <= envelope[1] * (1 + slack) + 1e-300
         )
-
-    # bessel_quotient
-    if floor is None:
-        floor = prof_f.ess_inf
-    if floor <= prof_f.zero_tol * prof_f.ess_sup or floor <= 0.0:
-        raise FrameLabError("first factor is not bounded below by a positive floor")
-    if prof_f.ess_inf < floor * (1 - 1e-12):
-        raise FrameLabError("declared floor exceeds the first factor's actual infimum")
-    sup_bound = prof_p.ess_sup / floor
-    g_report = measure_bounds(multiply_system(exp, gen_g.hat), rank_tol)
-    upper_bound = M * sup_bound**2
-    ok = (
-        prof_g.ess_sup <= sup_bound * (1 + slack)
-        and g_report.upper <= upper_bound * (1 + slack) + 1e-300
-    )
-    details["sup_bound"] = float(sup_bound)
-    details["g_upper_bound"] = float(upper_bound)
+        details["sup_bound"] = float(sup_bound)
+        details["g_upper_bound"] = float(envelope[1])
     return ConvolutionReport(
         mode=mode,
         exp_report=exp_report,
-        product_report=g_report,
-        envelope=(0.0, upper_bound),
-        measured=(g_report.lower, g_report.upper),
-        quotient_range=(0.0, sup_bound),
-        within=bool(ok),
+        product_report=product_report,
+        envelope=envelope,
+        measured=None if product_report is None else (product_report.lower, product_report.upper),
+        quotient_range=quotient_range,
+        within=bool(within),
         consistent=bool(ok),
         details=details,
     )
@@ -775,8 +656,8 @@ def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8,
     envelope = (m * p_hat, M * P_hat)
     frame_measured = total_report.flags.frame_for_whole_space
     p_positive = p_hat > rank_tol * max(P_hat, 1e-300)
-    within = (not frame_measured) or _within(
-        envelope[0], envelope[1], (total_report.lower, total_report.upper), slack
+    within = (not frame_measured) or within_envelope(
+        envelope, (total_report.lower, total_report.upper), slack
     )
     consistent = (frame_measured == p_positive) and within
     return UnionReport(
@@ -819,7 +700,7 @@ def union_sweep(spec: UnionSpec, levels=(64, 128, 256), rank_tol: float = 1e-8,
                 stability: float = 0.05) -> UnionSweepReport:
     """Union check across refinements: a common zero of every generator drives
     p_hat, and with it the stacked lower bound, to zero."""
-    levels = tuple(int(l) for l in levels)
+    levels = refinement_levels(levels)
     reports = [union_check(spec, lv, rank_tol) for lv in levels]
     p_hats = [r.p_hat for r in reports]
     lowers = [r.total_report.lower for r in reports]

@@ -572,22 +572,40 @@ def test_unwritable_report_path_is_exit_2(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_threaded_sweep_matches_serial(workdir, monkeypatch):
-    dom, pts = unit_setup(workdir)
-    out_a, out_b = str(workdir / "a.json"), str(workdir / "b.json")
-    cfg_path = write_json(
-        workdir / "cfg.json",
-        {
-            "command": "mult-check",
-            "inputs": {"domain": dom, "pointset": pts, "multiplier": {"expr": "t"}},
-        },
-    )
-    monkeypatch.delenv("FRAMELAB_THREADS", raising=False)
-    assert main(["--config", cfg_path, "--out", out_a]) == 0
-    monkeypatch.setenv("FRAMELAB_THREADS", "2")
-    assert main(["--config", cfg_path, "--out", out_b]) == 0
-    ra, rb = read_report(out_a), read_report(out_b)
-    assert ra["results"]["sweep"]["metric_trend"] == rb["results"]["sweep"]["metric_trend"]
+def _bump_without_delta(workdir, command):
+    bump = write_json(workdir / "bump.json", {"intervals": [[-0.4, 0.4]]})
+    if command == "build-generator":
+        return {"command": command, "inputs": {"bump": bump, "csv_out": str(workdir / "g.csv")}}
+    dom, pts = unit_setup(workdir, 16)
+    return {"command": command,
+            "inputs": {"domain": dom, "pointset": pts, "generator": {"bump": bump}}}
+
+
+def _domain_without_intervals(workdir, command):
+    dom = write_json(workdir / "dom.json", {"bands": [[0.0, 1.0]]})
+    pts = write_points(workdir / "pts.csv", [0.0, 1.0])
+    return {"command": command, "inputs": {"domain": dom, "pointset": pts}}
+
+
+def _reversed_union_part(workdir, command):
+    pts = write_points(workdir / "pts.csv", np.arange(8) - 4.0)
+    return {"command": command,
+            "inputs": {"pointset": pts, "parts": [{"intervals": [[1.0, 0.0]], "expr": "1"}]}}
+
+
+@pytest.mark.parametrize(
+    "make, command, named",
+    [
+        (_bump_without_delta, "build-generator", "delta"),
+        (_bump_without_delta, "translate-check", "delta"),
+        (_domain_without_intervals, "frame-bounds", "intervals"),
+        (_reversed_union_part, "union-check", "inputs/parts/0/intervals"),
+    ],
+)
+def test_malformed_input_files_are_exit_2(workdir, capsys, make, command, named):
+    cfg_path = write_json(workdir / "cfg.json", make(workdir, command))
+    assert main(["--config", cfg_path]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_run_config_validates_refine_programmatically():

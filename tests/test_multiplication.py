@@ -1,5 +1,4 @@
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -356,12 +355,9 @@ def test_refine_check_unknown_kind():
         refine_check(UNIT, dft_base, lambda t: t, check="banana")
 
 
-def test_refine_check_with_executor_matches_serial():
-    serial = refine_check(UNIT, dft_base, lambda t: t, check="frame")
-    with ThreadPoolExecutor(max_workers=2) as ex:
-        parallel = refine_check(UNIT, dft_base, lambda t: t, check="frame", executor=ex)
-    assert serial.metric_trend == parallel.metric_trend
-    assert serial.consistent == parallel.consistent
+def test_refine_check_needs_increasing_levels():
+    with pytest.raises(ValueError, match="two refinement levels"):
+        refine_check(UNIT, dft_base, lambda t: t, levels=(128, 64))
 
 
 def test_reports_are_json_serializable():

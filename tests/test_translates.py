@@ -450,6 +450,14 @@ def test_union_sweep_flags_common_zero():
     assert sweep.lowers[-1] < sweep.lowers[0]
 
 
+def test_union_sweep_needs_two_levels():
+    # one level certifies no trend: the vanishing generator would pass as a frame
+    part = UnionPart(Domain([(0.0, 1.0)]), lambda w: w - 0.5, "lin")
+    spec = UnionSpec((part,), integer_lattice(256))
+    with pytest.raises(ValueError, match="two refinement levels"):
+        union_sweep(spec, levels=(64,))
+
+
 # --- time-side frame sums -------------------------------------------------------------
 
 
