@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -20,19 +21,13 @@ from datetime import datetime, timezone
 import jsonschema
 import numpy as np
 
-from .domain import Domain, SampledFunction, dilate, load_domain, make_grid
-from .errors import (
-    ConfigError,
-    ExprError,
-    FrameLabError,
-    GridMismatchError,
-    HypothesisError,
-    ReconstructionError,
-)
-from .expr import ExprMultiplier, parse_multiplier
-from .framecore import exponential_system, measure_bounds, write_spectrum_csv
+from .domain import Domain, SampledFunction, load_domain, make_grid
+from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
+from .expr import parse_multiplier
+from .framecore import exponential_system, measure_bounds
 from .multiplication import _CHECKS as _SINGLE_CHECKS
 from .multiplication import check_converse, jsonable, multiply_system, refine_check
+from .multiplication import refinement_levels
 from .pointset import (
     beurling_1d_frame_predicate,
     beurling_ball_frame_predicate,
@@ -41,7 +36,6 @@ from .pointset import (
     gap_details,
     load_pointset,
     separation,
-    write_density_csv,
 )
 from .translates import (
     BumpSpec,
@@ -60,18 +54,6 @@ from .translates import (
 
 __all__ = ["RunConfig", "parse_config", "parse_multiplier", "run", "main"]
 
-COMMANDS = (
-    "density",
-    "gap",
-    "frame-bounds",
-    "mult-check",
-    "translate-check",
-    "build-generator",
-    "reconstruct",
-    "union-check",
-    "corollary-demo",
-)
-
 _CHECK_KINDS = (*_SINGLE_CHECKS, "converse")
 
 _MULTIPLIER_INPUT = {
@@ -82,16 +64,10 @@ _MULTIPLIER_INPUT = {
     "properties": {"expr": {"type": "string"}, "csv": {"type": "string"}},
 }
 
+# a generator is a multiplier input that may also name a bump spec
 _GENERATOR_INPUT = {
-    "type": "object",
-    "additionalProperties": False,
-    "minProperties": 1,
-    "maxProperties": 1,
-    "properties": {
-        "expr": {"type": "string"},
-        "csv": {"type": "string"},
-        "bump": {"type": "string"},
-    },
+    **_MULTIPLIER_INPUT,
+    "properties": {**_MULTIPLIER_INPUT["properties"], "bump": {"type": "string"}},
 }
 
 _INPUT_SCHEMAS = {
@@ -223,6 +199,8 @@ _INPUT_SCHEMAS = {
     },
 }
 
+COMMANDS = tuple(_INPUT_SCHEMAS)
+
 _CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -235,11 +213,7 @@ _CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_per_unit": {"type": "integer", "minimum": 1},
-                "refine": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 2,
-                },
+                "refine": {"type": "array", "items": {"type": "integer"}},
             },
         },
         "tolerances": {
@@ -251,7 +225,7 @@ _CONFIG_SCHEMA = {
                 "max_iter": {"type": "integer", "minimum": 1},
             },
         },
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer"},
         "output": {
             "type": "object",
             "additionalProperties": False,
@@ -266,7 +240,8 @@ _CONFIG_SCHEMA = {
 
 @dataclass
 class RunConfig:
-    """Validated run description; flag overrides are applied after parsing."""
+    """Validated run description.  The field defaults are the config defaults;
+    config files and flag overrides both pass ``__post_init__``."""
 
     command: str
     inputs: dict = field(default_factory=dict)
@@ -280,9 +255,12 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        self.refine = tuple(int(v) for v in self.refine)
-        if any(b <= a for a, b in zip(self.refine, self.refine[1:])):
-            raise ConfigError("grid/refine: refinement list must be strictly increasing")
+        try:
+            self.refine = refinement_levels(self.refine)
+        except ValueError as exc:
+            raise ConfigError(f"grid/refine: {exc}") from exc
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
 
 
 def _validate(instance, schema, prefix: str = "") -> None:
@@ -305,24 +283,16 @@ def parse_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _validate(raw, _CONFIG_SCHEMA)
-    command = raw["command"]
-    inputs = raw.get("inputs", {})
-    _validate(inputs, _INPUT_SCHEMAS[command], prefix="inputs")
-    grid = raw.get("grid", {})
-    tol = raw.get("tolerances", {})
+    _validate(raw.get("inputs", {}), _INPUT_SCHEMAS[raw["command"]], prefix="inputs")
+    # only the keys the file sets: the rest keep the RunConfig defaults
     out = raw.get("output", {})
-    return RunConfig(
-        command=command,
-        inputs=inputs,
-        n_per_unit=grid.get("n_per_unit", 128),
-        refine=tuple(grid.get("refine", (64, 128, 256))),
-        rank_tol=tol.get("rank_tol", 1e-8),
-        recon_tol=tol.get("recon_tol", 1e-10),
-        max_iter=tol.get("max_iter", 2000),
-        seed=raw.get("seed", 0),
-        report_path=out.get("report"),
-        format=out.get("format", "json"),
-    )
+    settings = {
+        **raw.get("grid", {}),
+        **raw.get("tolerances", {}),
+        **{("report_path" if k == "report" else k): v for k, v in out.items()},
+        **{k: raw[k] for k in ("command", "inputs", "seed") if k in raw},
+    }
+    return RunConfig(**settings)
 
 
 def _atomic_write(path: str, fill) -> None:
@@ -339,17 +309,8 @@ def _atomic_write(path: str, fill) -> None:
         raise
 
 
-def _load_profile(grid, spec: dict):
-    """Multiplier input {expr}|{csv} -> (SampledFunction, resample_fn|None)."""
-    if "expr" in spec:
-        mult = parse_multiplier(spec["expr"])
-        return mult.sample(grid), mult
-    gen = load_generator_csv(spec["csv"], grid, label="phi")
-    return gen.hat, None
-
-
 def _load_generator(grid, spec: dict, n_per_unit: int):
-    """Generator input {expr}|{csv}|{bump} -> (Generator, hat_fn|None).
+    """Spectrum input {expr}|{csv}|{bump} -> (Generator, resample_fn|None).
 
     A bump spec overrides the grid: the generator lives on its dilated band.
     """
@@ -358,19 +319,18 @@ def _load_generator(grid, spec: dict, n_per_unit: int):
         return Generator(mult.sample(grid), label="expr"), mult
     if "csv" in spec:
         return load_generator_csv(spec["csv"], grid), None
-    bump = _load_bump(spec["bump"])
-    bump_grid = make_grid(bump.dilated, n_per_unit)
-    return build_bump_generator(bump, bump_grid), None
+    return _bump_generator(_load_bump(spec["bump"]), n_per_unit), None
 
 
 def _load_bump(path) -> BumpSpec:
     """Bump spec file -> BumpSpec; a malformed spec is a ConfigError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        return BumpSpec.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad bump spec ({type(exc).__name__}: {exc})") from exc
+    with input_file(path, "bump spec"), open(path, "r", encoding="utf-8") as fh:
+        return BumpSpec.from_dict(json.load(fh))
+
+
+def _bump_generator(spec: BumpSpec, n_per_unit: int) -> Generator:
+    """The bump generator sampled on a grid over its dilated band."""
+    return build_bump_generator(spec, make_grid(spec.dilated, n_per_unit))
 
 
 def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
@@ -405,21 +365,10 @@ def _cmd_density(cfg: RunConfig):
         raise ConfigError("inputs: the interval predicate needs both 'a' and 'r'")
     if "a" in cfg.inputs:
         pred = beurling_1d_frame_predicate(ps, cfg.inputs["a"], cfg.inputs["r"])
-        results["interval_predicate"] = {
-            "predicted_frame": pred.predicted_frame,
-            "margin": pred.margin,
-            "density_lower": pred.density_lower,
-            "a": pred.a,
-            "r": pred.r,
-        }
+        results["interval_predicate"] = dataclasses.asdict(pred)
     if "r_ball" in cfg.inputs:
         pred = beurling_ball_frame_predicate(ps, cfg.inputs["r_ball"])
-        results["ball_predicate"] = {
-            "predicted_frame": pred.predicted_frame,
-            "product": pred.product,
-            "gap": pred.gap,
-            "r_ball": pred.r_ball,
-        }
+        results["ball_predicate"] = dataclasses.asdict(pred)
     rows = list(
         zip(
             report.r_values,
@@ -454,7 +403,8 @@ def _cmd_mult_check(cfg: RunConfig):
     ps = load_pointset(cfg.inputs["pointset"])
     check = cfg.inputs.get("check", "frame")
     grid = make_grid(dom, cfg.n_per_unit)
-    phi, phi_fn = _load_profile(grid, cfg.inputs["multiplier"])
+    gen, phi_fn = _load_generator(grid, cfg.inputs["multiplier"], cfg.n_per_unit)
+    phi = gen.hat
     sweep = cfg.inputs.get("sweep", phi_fn is not None)
     if sweep and phi_fn is None:
         raise ConfigError("inputs/multiplier: a CSV multiplier cannot be resampled for a sweep")
@@ -490,8 +440,8 @@ def _cmd_translate_check(cfg: RunConfig):
 
 def _cmd_build_generator(cfg: RunConfig):
     spec = _load_bump(cfg.inputs["bump"])
-    grid = make_grid(spec.dilated, cfg.n_per_unit)
-    gen = build_bump_generator(spec, grid)
+    gen = _bump_generator(spec, cfg.n_per_unit)
+    grid = gen.grid
     save_generator_csv(gen, cfg.inputs["csv_out"])
     on_base = spec.base_domain.contains(grid.nodes)
     results = {
@@ -508,16 +458,19 @@ def _cmd_build_generator(cfg: RunConfig):
     return results, True, (["omega", "re", "im"], rows)
 
 
+# the ExpansionResult fields each reconstruct target reports
+_TARGET_FIELDS = ("cg_residual", "product_residual", "vanish_outside", "coeff_norm_sq",
+                  "coeff_bound", "coeff_bound_ok")
+
+
 def _cmd_reconstruct(cfg: RunConfig):
     band = load_domain(cfg.inputs["band"])
-    delta = cfg.inputs["delta"]
     ps = load_pointset(cfg.inputs["pointset"])
     if "densify" in cfg.inputs:
         d = cfg.inputs["densify"]
         ps = densify(ps, d["target_gap"], d["sep_min"])
-    spec = BumpSpec(band, delta)
-    grid = make_grid(spec.dilated, cfg.n_per_unit)
-    gen = build_bump_generator(spec, grid)
+    gen = _bump_generator(BumpSpec(band, cfg.inputs["delta"]), cfg.n_per_unit)
+    grid = gen.grid
     inside = band.contains(grid.nodes)
 
     targets = []
@@ -530,30 +483,19 @@ def _cmd_reconstruct(cfg: RunConfig):
             targets.append(SampledFunction(grid, vals * inside))
 
     tol = cfg.inputs.get("residual_tol", 1e-8)
-    runs, first = [], None
-    for f_hat in targets:
-        res = oversampled_expansion(
+    expansions = [
+        oversampled_expansion(
             f_hat, gen, ps, band, tol=cfg.recon_tol, max_iter=cfg.max_iter,
             rank_tol=cfg.rank_tol,
         )
-        if first is None:
-            first = (f_hat, res)
-        runs.append(
-            {
-                "cg_residual": res.cg_residual,
-                "product_residual": res.product_residual,
-                "vanish_outside": res.vanish_outside,
-                "coeff_norm_sq": res.coeff_norm_sq,
-                "coeff_bound": res.coeff_bound,
-                "coeff_bound_ok": res.coeff_bound_ok,
-            }
-        )
+        for f_hat in targets
+    ]
+    runs = [{k: getattr(res, k) for k in _TARGET_FIELDS} for res in expansions]
     passed = all(
         r["product_residual"] <= tol and r["vanish_outside"] <= tol and r["coeff_bound_ok"]
         for r in runs
     )
-    f_hat, res = first
-    recon = (exponential_system(grid, ps).matrix @ res.alphas) * gen.hat.values
+    f_hat, res = targets[0], expansions[0]
     results = {
         "n_points": ps.size,
         "grid_nodes": grid.size,
@@ -565,7 +507,7 @@ def _cmd_reconstruct(cfg: RunConfig):
     }
     rows = [
         [float(w), float(t.real), float(t.imag), float(v.real), float(v.imag)]
-        for w, t, v in zip(grid.nodes, f_hat.values, recon)
+        for w, t, v in zip(grid.nodes, f_hat.values, res.reconstruction)
     ]
     return results, passed, (["omega", "re_target", "im_target", "re_recon", "im_recon"], rows)
 
@@ -645,10 +587,10 @@ def run(cfg: RunConfig) -> int:
     """Dispatch one command, write its report, and return the exit code."""
     try:
         results, passed, plot = _HANDLERS[cfg.command](cfg)
-    except (ConfigError, ExprError, GridMismatchError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ExprError, GridMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FrameLabError, ReconstructionError, HypothesisError, np.linalg.LinAlgError) as exc:
+    except (FrameLabError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
@@ -699,20 +641,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = parse_config(args.config)
-        if args.out is not None:
-            cfg.report_path = args.out
-        if args.format is not None:
-            cfg.format = args.format
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
-            cfg.seed = args.seed
+        overrides = {"report_path": args.out, "format": args.format, "seed": args.seed}
         if args.refine is not None:
             try:
-                levels = tuple(int(v) for v in args.refine.split(","))
+                overrides["refine"] = tuple(int(v) for v in args.refine.split(","))
             except ValueError:
                 raise ConfigError("--refine expects comma-separated integers")
-            cfg = RunConfig(**{**cfg.__dict__, "refine": levels})
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import GridMismatchError, input_file
 
 __all__ = [
     "Domain",
@@ -106,12 +106,8 @@ class Domain:
 
 def load_domain(path) -> Domain:
     """Domain JSON file -> Domain; a malformed spec is a ConfigError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        return Domain.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad domain spec ({type(exc).__name__}: {exc})") from exc
+    with input_file(path, "domain spec"), open(path, "r", encoding="utf-8") as fh:
+        return Domain.from_dict(json.load(fh))
 
 
 def dilate(dom: Domain, delta: float) -> Domain:

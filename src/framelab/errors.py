@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class FrameLabError(Exception):
     """Base class for all framelab errors."""
@@ -42,3 +44,17 @@ class ExprError(FrameLabError):
             message = f"{message} (at offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+@contextmanager
+def input_file(path, what: str):
+    """Turn a malformed input file into a ConfigError that names the file.
+
+    Parse and validation failures inside the block (``KeyError``,
+    ``TypeError``, ``ValueError``, which covers bad JSON) become
+    "``path``: bad ``what`` (...)".
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad {what} ({type(exc).__name__}: {exc})") from exc

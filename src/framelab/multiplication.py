@@ -45,19 +45,29 @@ __all__ = [
     "check_converse",
     "check_frame_sequence_multiplication",
     "refine_check",
+    "ZERO_TOL",
+    "ENVELOPE_SLACK",
+    "STABILITY",
+    "AMBIENT_PAD_CELLS",
 ]
 
 _DEFAULT_LEVELS = (64, 128, 256)
-_STABILITY = 0.05
+
+# The fixed values every check runs on; reports carry the first and third
+# (``multiplier.zero_tol``, ``trace.stability``).
+ZERO_TOL = 1e-12  # node magnitudes at or below this share of the largest count as zeros
+ENVELOPE_SLACK = 1e-9  # measured bounds may overshoot an envelope by this share of its top
+STABILITY = 0.05  # a trace is stable when its last value keeps this share of its peak
+AMBIENT_PAD_CELLS = 8  # zero cells padded on each side in the frame-sequence ambient check
 
 
 @dataclass(frozen=True, eq=False)
 class MultiplierProfile:
     """Grid-level magnitude summary of a multiplier.
 
-    ``zero_tol`` is relative to the largest magnitude; nodes at or below it
-    count as zeros.  ``support_domain`` merges the quadrature cells of the
-    surviving nodes (None when everything vanishes).
+    ``zero_tol`` (``ZERO_TOL``) is relative to the largest magnitude; nodes at
+    or below it count as zeros.  ``support_domain`` merges the quadrature
+    cells of the surviving nodes (None when everything vanishes).
     """
 
     phi: SampledFunction
@@ -76,13 +86,12 @@ class MultiplierProfile:
         return self.ess_inf > self.zero_tol * self.ess_sup and self.ess_inf > 0.0
 
 
-def profile_multiplier(g: Grid, phi: SampledFunction, zero_tol: float = 1e-12) -> MultiplierProfile:
+def profile_multiplier(g: Grid, phi: SampledFunction) -> MultiplierProfile:
     if not phi.grid.matches(g):
         raise FrameLabError("multiplier is not sampled on the requested grid")
     mag = np.abs(phi.values)
     sup = float(mag.max())
-    thr = zero_tol * sup
-    mask = mag > thr
+    mask = mag > ZERO_TOL * sup
     zero_fraction = float(np.sum(g.weights[~mask]) / g.domain.measure)
     support = _cells_to_domain(g, mask)
     inf_support = float(mag[mask].min()) if mask.any() else math.inf
@@ -92,7 +101,7 @@ def profile_multiplier(g: Grid, phi: SampledFunction, zero_tol: float = 1e-12) -
         ess_sup=sup,
         zero_measure_fraction=zero_fraction,
         support_domain=support,
-        zero_tol=zero_tol,
+        zero_tol=ZERO_TOL,
         support_mask=mask,
         ess_inf_support=inf_support,
     )
@@ -111,8 +120,8 @@ def multiply_system(sys: SynthesisSystem, phi: SampledFunction) -> SynthesisSyst
     return SynthesisSystem(sys.grid, phi.values[:, None] * sys.matrix, sys.labels)
 
 
-def trend_is_stable(values, stability: float = _STABILITY) -> bool:
-    """True when the final value stays within ``stability`` of the trace peak.
+def trend_is_stable(values) -> bool:
+    """True when the final value stays within ``STABILITY`` of the trace peak.
 
     Used on essential-infimum and lower-bound traces across grid doublings:
     a bounded-below quantity settles; one sinking toward zero keeps losing
@@ -124,26 +133,31 @@ def trend_is_stable(values, stability: float = _STABILITY) -> bool:
     peak = max(values)
     if peak <= 0.0:
         return False
-    return values[-1] > 0.0 and values[-1] >= (1.0 - stability) * peak
+    return values[-1] > 0.0 and values[-1] >= (1.0 - STABILITY) * peak
+
+
+def _stays_flat(values) -> bool:
+    """The supremum rule: the largest value stays within ``STABILITY`` of the
+    smallest (a growing supremum emulates an unbounded one)."""
+    return max(values) <= (1.0 + STABILITY) * min(values) if min(values) > 0 else False
 
 
 def refinement_levels(levels) -> tuple:
     """The one level rule of every refinement sweep: at least two levels,
-    strictly increasing (a single level certifies no trend)."""
+    positive and strictly increasing (a single level certifies no trend)."""
     levels = tuple(int(l) for l in levels)
-    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(
-            f"a sweep needs at least two refinement levels, strictly increasing; got {list(levels)}"
-        )
+    if len(levels) < 2 or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("a sweep needs at least two refinement levels, positive and "
+                         f"strictly increasing; got {list(levels)}")
     return levels
 
 
-def within_envelope(envelope: tuple, bounds: tuple, slack: float = 1e-9) -> bool:
-    """Measured ``bounds`` (lo, hi) inside ``envelope`` (lo, hi), up to ``slack``
-    relative to the envelope's upper end."""
+def within_envelope(envelope: tuple, bounds: tuple) -> bool:
+    """Measured ``bounds`` (lo, hi) inside ``envelope`` (lo, hi), up to
+    ``ENVELOPE_SLACK`` relative to the envelope's upper end."""
     lo, hi = envelope
-    scale = max(abs(hi), 1e-300)
-    return bounds[0] >= lo - slack * scale - 1e-300 and bounds[1] <= hi + slack * scale
+    tol = ENVELOPE_SLACK * max(abs(hi), 1e-300)
+    return bounds[0] >= lo - tol - 1e-300 and bounds[1] <= hi + tol
 
 
 def jsonable(obj):
@@ -197,15 +211,14 @@ class RefinementTrace:
         }
 
 
-def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS,
-                       stability: float = _STABILITY, zero_tol: float = 1e-12) -> RefinementTrace:
+def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS) -> RefinementTrace:
     """Sample a callable multiplier on successively finer grids and certify
     whether its magnitude stays bounded below (and its supremum stable)."""
     levels = refinement_levels(levels)
     samples = tuple(SampledFunction.from_callable(make_grid(dom, lv), phi_fn) for lv in levels)
     infs, sups, inf_sups = [], [], []
     for phi in samples:
-        prof = profile_multiplier(phi.grid, phi, zero_tol)
+        prof = profile_multiplier(phi.grid, phi)
         infs.append(prof.ess_inf)
         sups.append(prof.ess_sup)
         inf_sups.append(prof.ess_inf_support if math.isfinite(prof.ess_inf_support) else 0.0)
@@ -214,10 +227,10 @@ def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS,
         ess_inf=tuple(infs),
         ess_sup=tuple(sups),
         ess_inf_support=tuple(inf_sups),
-        bounded_below=trend_is_stable(infs, stability),
-        bounded_below_on_support=trend_is_stable(inf_sups, stability),
-        sup_stable=max(sups) <= (1.0 + stability) * min(sups) if min(sups) > 0 else False,
-        stability=stability,
+        bounded_below=trend_is_stable(infs),
+        bounded_below_on_support=trend_is_stable(inf_sups),
+        sup_stable=_stays_flat(sups),
+        stability=STABILITY,
         samples=samples,
     )
 
@@ -278,18 +291,17 @@ class _Prepared(NamedTuple):
     mult_report: FrameReport
 
 
-def _prepare(sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
-             zero_tol: float) -> _Prepared:
+def _prepare(sys: SynthesisSystem, phi: SampledFunction, rank_tol: float) -> _Prepared:
     base_report = measure_bounds(sys, rank_tol)
-    profile = profile_multiplier(sys.grid, phi, zero_tol)
+    profile = profile_multiplier(sys.grid, phi)
     mult = multiply_system(sys, phi)
     return _Prepared(base_report, profile, mult, measure_bounds(mult, rank_tol))
 
 
-def _prepare_converse(sys_mult: SynthesisSystem, phi: SampledFunction, rank_tol: float,
-                      zero_tol: float) -> _Prepared:
+def _prepare_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
+                      rank_tol: float) -> _Prepared:
     """Divide the multiplier back out: the recovered system plays the base."""
-    profile = profile_multiplier(sys_mult.grid, phi, zero_tol)
+    profile = profile_multiplier(sys_mult.grid, phi)
     if not profile.bounded_below_on_grid:
         raise FrameLabError("division by near-zero multiplier")
     mult_report = measure_bounds(sys_mult, rank_tol)
@@ -315,11 +327,11 @@ def _bounded_below_on_support(profile: MultiplierProfile, trace: RefinementTrace
     return math.isfinite(profile.ess_inf_support) and profile.ess_inf_support > 0.0
 
 
-# Judges: (prepared, trace, slack, **options) -> (predicted, measured,
+# Judges: (prepared, trace, **options) -> (predicted, measured,
 # envelope, envelope_holds, other conditions hold, details).
 
 
-def _judge_frame(p, trace, slack):
+def _judge_frame(p, trace):
     predicted = {
         "frame": _bounded_below(p.profile, trace),
         "complete": p.profile.zero_measure_fraction == 0.0,
@@ -329,22 +341,22 @@ def _judge_frame(p, trace, slack):
         "complete": p.mult_report.rank == p.mult_report.dim_space,
     }
     envelope = _product_envelope(p)
-    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report), slack)
+    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report))
     return predicted, measured, envelope, holds, True, {}
 
 
-def _judge_tight(p, trace, slack):
+def _judge_tight(p, trace):
     prof = p.profile
     unimodular = prof.ess_inf > 0.0 and (prof.ess_sup - prof.ess_inf) <= 1e-8 * prof.ess_sup
     flags = p.mult_report.flags
     envelope = _product_envelope(p)
-    holds = within_envelope(envelope, _bounds(p.mult_report), slack)
+    holds = within_envelope(envelope, _bounds(p.mult_report))
     spread = p.mult_report.upper - p.mult_report.lower
     return ({"tight": unimodular}, {"tight": flags.tight and flags.frame_for_whole_space},
             envelope, holds, True, {"spread": spread})
 
 
-def _judge_riesz(p, trace, slack):
+def _judge_riesz(p, trace):
     predicted = {"riesz": _bounded_below(p.profile, trace)}
     rep = p.mult_report
     measured = {"riesz": rep.flags.riesz_sequence and rep.rank == rep.dim_space}
@@ -352,13 +364,13 @@ def _judge_riesz(p, trace, slack):
     g_extremes = (float(max(g_eigs[0], 0.0)), float(max(g_eigs[-1], 0.0)))
     base_g = p.base_report.gram_extremes
     envelope = (base_g[0] * p.profile.ess_inf**2, base_g[1] * p.profile.ess_sup**2)
-    holds = not predicted["riesz"] or within_envelope(envelope, g_extremes, slack)
+    holds = not predicted["riesz"] or within_envelope(envelope, g_extremes)
     return predicted, measured, envelope, holds, True, {"gram_extremes": g_extremes}
 
 
-def _judge_bessel(p, trace, slack):
+def _judge_bessel(p, trace):
     bound = p.base_report.upper * p.profile.ess_sup**2
-    holds = p.mult_report.upper <= bound * (1 + slack) + 1e-300
+    holds = p.mult_report.upper <= bound * (1 + ENVELOPE_SLACK) + 1e-300
     measured = {"bessel": p.mult_report.flags.bessel}
     details = {
         "upper_bound": bound,
@@ -367,7 +379,7 @@ def _judge_bessel(p, trace, slack):
     return {"bessel": True}, measured, (0.0, bound), holds, True, details
 
 
-def _judge_frame_sequence(p, trace, slack, ambient_pad_cells):
+def _judge_frame_sequence(p, trace):
     """Three measurements: the rank matches the support node count; the
     retained bounds land in the support-restricted envelope; and padding the
     ambient domain with zero cells moves nothing."""
@@ -380,11 +392,9 @@ def _judge_frame_sequence(p, trace, slack, ambient_pad_cells):
     measured = {"frame_sequence": mult_report.flags.frame_sequence}
     inf_support = prof.ess_inf_support if math.isfinite(prof.ess_inf_support) else 0.0
     envelope = (p.base_report.lower * inf_support**2, p.base_report.upper * prof.ess_sup**2)
-    holds = not predicted["frame_sequence"] or within_envelope(
-        envelope, _bounds(mult_report), slack
-    )
+    holds = not predicted["frame_sequence"] or within_envelope(envelope, _bounds(mult_report))
 
-    pad = ambient_pad_cells
+    pad = AMBIENT_PAD_CELLS
     big_grid = extend_grid(mult.grid, pad, pad)
     big_members = np.zeros((big_grid.size, mult.size), dtype=complex)
     big_members[pad : pad + mult.grid.size, :] = mult.matrix
@@ -407,17 +417,17 @@ def _judge_frame_sequence(p, trace, slack, ambient_pad_cells):
     return predicted, measured, envelope, holds, rank_ok and ambient_ok, details
 
 
-def _judge_converse(p, trace, slack):
+def _judge_converse(p, trace):
     envelope = (
         p.mult_report.lower / p.profile.ess_sup**2,
         p.mult_report.upper / p.profile.ess_inf**2,
     )
-    holds = within_envelope(envelope, _bounds(p.base_report), slack)
+    holds = within_envelope(envelope, _bounds(p.base_report))
     measured = {"frame": p.base_report.flags.frame_for_whole_space}
     return {"frame": True}, measured, envelope, holds, True, {}
 
 
-def _judge_translates(p, trace, slack, label):
+def _judge_translates(p, trace, label):
     n_support = int(p.profile.support_mask.sum())
     rank_ok = p.mult_report.rank == n_support
     flags = p.mult_report.flags
@@ -432,7 +442,7 @@ def _judge_translates(p, trace, slack, label):
         "frame_sequence": flags.frame_sequence,
     }
     envelope = _product_envelope(p)
-    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report), slack)
+    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report))
     details = {
         "generator": label,
         "support_nodes": n_support,
@@ -449,7 +459,7 @@ class _Kind:
     hypothesis; ``violation`` says what failed) and lets ``judge`` predict,
     measure and bracket.  A sweep traces ``metric`` per level, takes its
     prediction from ``predict(trace, reports)``, its measurement from
-    ``trend(metric, reports, stability)`` and requires ``level_ok`` of every
+    ``trend(metric, reports)`` and requires ``level_ok`` of every
     level report.
     """
 
@@ -460,7 +470,7 @@ class _Kind:
     traced: bool = True
     metric: Callable | None = None
     predict: Callable | None = None
-    trend: Callable = lambda metric, reports, stability: trend_is_stable(metric, stability)
+    trend: Callable = lambda metric, reports: trend_is_stable(metric)
     level_ok: Callable = lambda r: r.envelope_holds
 
 
@@ -482,7 +492,7 @@ _KINDS = {
         "base system is not a tight frame", _judge_tight,
         metric=lambda r: r.mult_report.upper - r.mult_report.lower,
         predict=lambda trace, reports: reports[0].predicted["tight"],
-        trend=lambda metric, reports, stability: all(r.measured["tight"] for r in reports),
+        trend=lambda metric, reports: all(r.measured["tight"] for r in reports),
     ),
     "riesz": _Kind(
         _prepare,
@@ -496,8 +506,7 @@ _KINDS = {
         _prepare, None, "", _judge_bessel,
         metric=lambda r: r.mult_report.upper,
         predict=lambda trace, reports: trace.sup_stable,
-        # the supremum trace's rule: the largest level stays near the smallest
-        trend=lambda m, reports, s: max(m) <= (1.0 + s) * min(m) if min(m) > 0 else False,
+        trend=lambda metric, reports: _stays_flat(metric),
         level_ok=lambda r: r.consistent,
     ),
     "frame_sequence": _Kind(
@@ -517,14 +526,13 @@ _KINDS = {
 
 
 def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
-               zero_tol: float, trace: RefinementTrace | None, slack: float,
-               **options) -> MultCheckReport:
+               trace: RefinementTrace | None, **options) -> MultCheckReport:
     kind = _KINDS[check]
-    prepared = kind.prepare(sys, phi, rank_tol, zero_tol)
+    prepared = kind.prepare(sys, phi, rank_tol)
     if kind.hypothesis is not None and not kind.hypothesis(prepared):
         raise HypothesisError(f"hypothesis violated: {kind.violation}")
     predicted, measured, envelope, holds, others_hold, details = kind.judge(
-        prepared, trace, slack, **options
+        prepared, trace, **options
     )
     if kind.traced:
         details["trace"] = None if trace is None else trace.to_dict()
@@ -543,9 +551,8 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
 
 
 def check_frame_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                               rank_tol: float = 1e-8, zero_tol: float = 1e-12,
-                               trace: RefinementTrace | None = None,
-                               slack: float = 1e-9) -> MultCheckReport:
+                               rank_tol: float = 1e-8,
+                               trace: RefinementTrace | None = None) -> MultCheckReport:
     """Does {phi psi_k} remain a frame of the whole sampled space?
 
     Predicted from the multiplier magnitude being bounded away from zero
@@ -553,50 +560,44 @@ def check_frame_multiplication(sys: SynthesisSystem, phi: SampledFunction,
     measured from the spectrum of the multiplied system.  Completeness rides
     along: a multiplier with no zero cells keeps the span full.
     """
-    return _run_check("frame", sys, phi, rank_tol, zero_tol, trace, slack)
+    return _run_check("frame", sys, phi, rank_tol, trace)
 
 
 def check_tight_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                               rank_tol: float = 1e-8, zero_tol: float = 1e-12,
-                               trace: RefinementTrace | None = None,
-                               slack: float = 1e-9) -> MultCheckReport:
+                               rank_tol: float = 1e-8,
+                               trace: RefinementTrace | None = None) -> MultCheckReport:
     """Does a tight base stay tight?  Only constant-magnitude multipliers keep
     the spread at zero."""
-    return _run_check("tight", sys, phi, rank_tol, zero_tol, trace, slack)
+    return _run_check("tight", sys, phi, rank_tol, trace)
 
 
 def check_riesz_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                               rank_tol: float = 1e-8, zero_tol: float = 1e-12,
-                               trace: RefinementTrace | None = None,
-                               slack: float = 1e-9) -> MultCheckReport:
+                               rank_tol: float = 1e-8,
+                               trace: RefinementTrace | None = None) -> MultCheckReport:
     """Does a Riesz basis stay a Riesz basis?  Measured on the Gram spectrum."""
-    return _run_check("riesz", sys, phi, rank_tol, zero_tol, trace, slack)
+    return _run_check("riesz", sys, phi, rank_tol, trace)
 
 
 def check_bessel_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                                rank_tol: float = 1e-8, zero_tol: float = 1e-12,
-                                trace: RefinementTrace | None = None,
-                                slack: float = 1e-9) -> MultCheckReport:
+                                rank_tol: float = 1e-8,
+                                trace: RefinementTrace | None = None) -> MultCheckReport:
     """Upper-bound control: the multiplied upper bound sits below
     base_upper * ess_sup^2.  A growing supremum trace flags an unbounded
     multiplier being emulated at grid scale."""
-    return _run_check("bessel", sys, phi, rank_tol, zero_tol, trace, slack)
+    return _run_check("bessel", sys, phi, rank_tol, trace)
 
 
 def check_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
-                   rank_tol: float = 1e-8, zero_tol: float = 1e-12,
-                   slack: float = 1e-9) -> MultCheckReport:
+                   rank_tol: float = 1e-8) -> MultCheckReport:
     """Given {phi psi_k} measured as a frame and a multiplier bounded away
     from zero, recover the base system by dividing and check its bounds land
     in [alpha / ess_sup^2, beta / ess_inf^2]."""
-    return _run_check("converse", sys_mult, phi, rank_tol, zero_tol, None, slack)
+    return _run_check("converse", sys_mult, phi, rank_tol, None)
 
 
 def check_frame_sequence_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                                        rank_tol: float = 1e-8, zero_tol: float = 1e-12,
-                                        trace: RefinementTrace | None = None,
-                                        ambient_pad_cells: int = 8,
-                                        slack: float = 1e-9) -> MultCheckReport:
+                                        rank_tol: float = 1e-8,
+                                        trace: RefinementTrace | None = None) -> MultCheckReport:
     """A multiplier supported on part of the domain yields a frame for the
     subspace of functions living on that support.
 
@@ -605,14 +606,11 @@ def check_frame_sequence_multiplication(sys: SynthesisSystem, phi: SampledFuncti
     ambient domain with zero cells moves nothing (the verdict belongs to the
     span, not the ambient space).
     """
-    return _run_check("frame_sequence", sys, phi, rank_tol, zero_tol, trace, slack,
-                      ambient_pad_cells=ambient_pad_cells)
+    return _run_check("frame_sequence", sys, phi, rank_tol, trace)
 
 
 def classify_translates(gen: Generator, ps: PointSet, rank_tol: float = 1e-8,
-                        zero_tol: float = 1e-12,
-                        trace: RefinementTrace | None = None,
-                        slack: float = 1e-9) -> MultCheckReport:
+                        trace: RefinementTrace | None = None) -> MultCheckReport:
     """Frame status of the translate system, via the multiplier dictionary.
 
     The exponential system on the frequency grid must itself be a frame of
@@ -621,7 +619,7 @@ def classify_translates(gen: Generator, ps: PointSet, rank_tol: float = 1e-8,
     frame sequence for the subspace carried by the support of hhat.
     """
     return _run_check("translates", exponential_system(gen.grid, ps), gen.hat, rank_tol,
-                      zero_tol, trace, slack, label=gen.label)
+                      trace, label=gen.label)
 
 
 _CHECKS = {
@@ -665,8 +663,7 @@ class MultSweepReport:
 
 
 def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
-                 levels=_DEFAULT_LEVELS, rank_tol: float = 1e-8,
-                 zero_tol: float = 1e-12, stability: float = _STABILITY) -> MultSweepReport:
+                 levels=_DEFAULT_LEVELS, rank_tol: float = 1e-8) -> MultSweepReport:
     """Run one multiplier check across grid refinements and certify the trend.
 
     ``system_factory(grid)`` builds the base system at each level;
@@ -677,15 +674,14 @@ def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
     if check not in _CHECKS:
         raise ValueError(f"unknown check kind {check!r}")
     kind = _KINDS[check]
-    trace = profile_refinement(dom, phi_fn, levels, stability, zero_tol)
+    trace = profile_refinement(dom, phi_fn, levels)
     reports = [
-        _CHECKS[check](system_factory(phi.grid), phi, rank_tol=rank_tol, zero_tol=zero_tol,
-                       trace=trace)
+        _CHECKS[check](system_factory(phi.grid), phi, rank_tol=rank_tol, trace=trace)
         for phi in trace.samples
     ]
     metric = [float(kind.metric(r)) for r in reports]
     predicted = kind.predict(trace, reports)
-    measured = kind.trend(metric, reports, stability)
+    measured = kind.trend(metric, reports)
     consistent = predicted == measured and all(kind.level_ok(r) for r in reports)
     return MultSweepReport(
         check=check,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameLabError
+from .errors import FrameLabError, input_file
 
 __all__ = [
     "PointSet",
@@ -129,7 +129,7 @@ class PointSet:
                     continue
                 rows.append([float(v) for v in row])
         if not rows:
-            raise FrameLabError(f"no points found in {path}")
+            raise ValueError("no points found")
         pts = np.asarray(rows, dtype=float)
         if box is None:
             box = [(pts[:, j].min(), pts[:, j].max()) for j in range(pts.shape[1])]
@@ -140,12 +140,14 @@ class PointSet:
 
 
 def load_pointset(path, box=None) -> PointSet:
-    """Load a point set from .json ({dim, box, points}) or .csv (one point per line)."""
+    """Load a point set from .json ({dim, box, points}) or .csv (one point per line);
+    a malformed file is a ConfigError naming it."""
     path = str(path)
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return PointSet.from_dict(json.load(fh))
-    return PointSet.from_csv(path, box=box)
+    with input_file(path, "point set"):
+        if path.endswith(".json"):
+            with open(path, "r", encoding="utf-8") as fh:
+                return PointSet.from_dict(json.load(fh))
+        return PointSet.from_csv(path, box=box)
 
 
 def _min_pairwise_distance(pts: np.ndarray) -> float:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Domain, Grid, SampledFunction, dilate
 from .domain import make_grid
-from .errors import FrameLabError, HypothesisError
+from .errors import FrameLabError, HypothesisError, input_file
 from .framecore import (
     FrameReport,
     SynthesisSystem,
@@ -29,6 +29,7 @@ from .framecore import (
     reconstruct,
 )
 from .multiplication import (
+    ENVELOPE_SLACK,
     RefinementTrace,
     classify_translates,
     jsonable,
@@ -100,14 +101,22 @@ def save_generator_csv(gen: Generator, path) -> None:
 
 
 def load_generator_csv(path, grid: Grid, label: str = "h") -> Generator:
-    """Read (omega, re, im) rows; the omegas must match the grid nodes."""
+    """Read (omega, re, im) rows; the omegas must match the grid nodes.
+
+    A row that is short, non-numeric or non-finite is a ConfigError naming the
+    file and the row.
+    """
     omegas, vals = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        for n, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().lower() == "omega":
                 continue
-            omegas.append(float(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+            with input_file(path, f"spectrum row {n}"):
+                omega, real, imag = (float(v) for v in row[:3])
+                if not all(map(math.isfinite, (omega, real, imag))):
+                    raise ValueError("non-finite value")
+            omegas.append(omega)
+            vals.append(complex(real, imag))
     omegas = np.asarray(omegas)
     if omegas.size != grid.size or not np.allclose(omegas, grid.nodes, rtol=0, atol=1e-9):
         raise FrameLabError("generator nodes do not match the analysis grid")
@@ -248,8 +257,7 @@ def matched_lattice(grid: Grid) -> PointSet:
 
 
 def obstruction_trend(dom: Domain, hat_fn, levels=(64, 128, 256),
-                      rank_tol: float = 1e-8, stability: float = 0.05,
-                      lattice_for=None) -> ObstructionReport:
+                      rank_tol: float = 1e-8, lattice_for=None) -> ObstructionReport:
     """Measure the translate-system lower bound across refinements.
 
     ``hat_fn(nodes)`` samples the generator spectrum at each level;
@@ -257,7 +265,7 @@ def obstruction_trend(dom: Domain, hat_fn, levels=(64, 128, 256),
     """
     if len(dom.intervals) != 1:
         raise FrameLabError("the obstruction sweep uses a single-interval band")
-    hat_trace = profile_refinement(dom, hat_fn, levels, stability)
+    hat_trace = profile_refinement(dom, hat_fn, levels)
     make_ps = lattice_for if lattice_for is not None else matched_lattice
     lowers = []
     for hat in hat_trace.samples:
@@ -268,7 +276,7 @@ def obstruction_trend(dom: Domain, hat_fn, levels=(64, 128, 256),
         lowers[i + 1] / lowers[i] if lowers[i] > 0 else math.inf for i in range(len(lowers) - 1)
     )
     predicted = not hat_trace.bounded_below
-    measured = not trend_is_stable(lowers, stability)
+    measured = not trend_is_stable(lowers)
     return ObstructionReport(
         levels=hat_trace.levels,
         lower_bounds=tuple(lowers),
@@ -284,15 +292,16 @@ def obstruction_trend(dom: Domain, hat_fn, levels=(64, 128, 256),
 class ExpansionResult:
     """Oversampled expansion f(x) = sum_k alpha_k g(x - lambda_k).
 
+    ``reconstruction`` is the assembled spectrum (sum_k alpha_k e_k) * ghat;
     ``cg_residual`` is the solver residual on the exponential system;
-    ``product_residual`` is the defect of the assembled identity
-    fhat = (sum_k alpha_k e_k) * ghat; ``vanish_outside`` is the mass the
-    exponential sum leaves outside the inner band, where the coefficients
-    must conspire to cancel.
+    ``product_residual`` is the reconstruction's defect against fhat;
+    ``vanish_outside`` is the mass the exponential sum leaves outside the
+    inner band, where the coefficients must conspire to cancel.
     """
 
     labels: np.ndarray
     alphas: np.ndarray
+    reconstruction: np.ndarray
     cg_residual: float
     product_residual: float
     vanish_outside: float
@@ -357,6 +366,7 @@ def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
     return ExpansionResult(
         labels=np.asarray(ps.xs),
         alphas=alphas,
+        reconstruction=recon,
         cg_residual=rec.residual,
         product_residual=prod_residual,
         vanish_outside=vanish,
@@ -466,7 +476,6 @@ _CONV_MODES = ("bessel", "frame", "frame_sequence", "quotient", "bessel_quotient
 
 def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
                               mode: str, rank_tol: float = 1e-8,
-                              zero_tol: float = 1e-12, slack: float = 1e-9,
                               floor: float | None = None) -> ConvolutionReport:
     """Check one closure direction for the convolution of two generators.
 
@@ -481,10 +490,10 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
     grid = gen_f.grid
     if not gen_g.grid.matches(grid):
         raise FrameLabError("generators live on different grids")
-    prof_f = profile_multiplier(grid, gen_f.hat, zero_tol)
-    prof_g = profile_multiplier(grid, gen_g.hat, zero_tol)
+    prof_f = profile_multiplier(grid, gen_f.hat)
+    prof_g = profile_multiplier(grid, gen_g.hat)
     product_hat = SampledFunction(grid, gen_f.hat.values * gen_g.hat.values)
-    prof_p = profile_multiplier(grid, product_hat, zero_tol)
+    prof_p = profile_multiplier(grid, product_hat)
     exp = exponential_system(grid, ps)
     exp_report = measure_bounds(exp, rank_tol)
     m, M = exp_report.lower, exp_report.upper
@@ -497,7 +506,7 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
     if mode == "bessel":
         product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
         envelope = (0.0, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
-        within = ok = product_report.upper <= envelope[1] * (1 + slack) + 1e-300
+        within = ok = product_report.upper <= envelope[1] * (1 + ENVELOPE_SLACK) + 1e-300
     elif mode == "frame":
         if not exp_report.flags.frame_for_whole_space:
             raise HypothesisError("hypothesis violated: exponentials are not a frame of the band")
@@ -508,7 +517,7 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
             m * (prof_f.ess_inf * prof_g.ess_inf) ** 2,
             M * (prof_f.ess_sup * prof_g.ess_sup) ** 2,
         )
-        within = within_envelope(envelope, (product_report.lower, product_report.upper), slack)
+        within = within_envelope(envelope, (product_report.lower, product_report.upper))
         ok = within and product_report.flags.frame_for_whole_space
     elif mode == "frame_sequence":
         mask = prof_p.support_mask
@@ -518,7 +527,7 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         inf_g = float(np.abs(gen_g.hat.values[mask]).min())
         product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
         envelope = (m * (inf_f * inf_g) ** 2, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
-        within = within_envelope(envelope, (product_report.lower, product_report.upper), slack)
+        within = within_envelope(envelope, (product_report.lower, product_report.upper))
         rank_ok = product_report.rank == int(mask.sum())
         details["support_nodes"] = int(mask.sum())
         details["rank_matches_support"] = bool(rank_ok)
@@ -529,8 +538,8 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         quotient_range = (prof_p.ess_inf / prof_f.ess_sup, prof_p.ess_sup / prof_f.ess_inf)
         g_mag = np.abs(gen_g.hat.values)
         within = ok = (
-            float(g_mag.min()) >= quotient_range[0] * (1 - slack) - 1e-300
-            and float(g_mag.max()) <= quotient_range[1] * (1 + slack) + 1e-300
+            float(g_mag.min()) >= quotient_range[0] * (1 - ENVELOPE_SLACK) - 1e-300
+            and float(g_mag.max()) <= quotient_range[1] * (1 + ENVELOPE_SLACK) + 1e-300
         )
         details["g_range"] = (float(g_mag.min()), float(g_mag.max()))
     else:  # bessel_quotient
@@ -545,8 +554,8 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         envelope = (0.0, M * sup_bound**2)
         quotient_range = (0.0, sup_bound)
         within = ok = (
-            prof_g.ess_sup <= sup_bound * (1 + slack)
-            and product_report.upper <= envelope[1] * (1 + slack) + 1e-300
+            prof_g.ess_sup <= sup_bound * (1 + ENVELOPE_SLACK)
+            and product_report.upper <= envelope[1] * (1 + ENVELOPE_SLACK) + 1e-300
         )
         details["sup_bound"] = float(sup_bound)
         details["g_upper_bound"] = float(envelope[1])
@@ -620,8 +629,7 @@ class UnionReport:
         }
 
 
-def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8,
-                slack: float = 1e-9) -> UnionReport:
+def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8) -> UnionReport:
     """Measure the stacked system {e_lambda chi_j hhat_j} on the union grid."""
     union_dom = Domain.merged(
         iv for part in spec.parts for iv in part.domain.intervals
@@ -657,7 +665,7 @@ def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8,
     frame_measured = total_report.flags.frame_for_whole_space
     p_positive = p_hat > rank_tol * max(P_hat, 1e-300)
     within = (not frame_measured) or within_envelope(
-        envelope, (total_report.lower, total_report.upper), slack
+        envelope, (total_report.lower, total_report.upper)
     )
     consistent = (frame_measured == p_positive) and within
     return UnionReport(
@@ -696,16 +704,15 @@ class UnionSweepReport:
         }
 
 
-def union_sweep(spec: UnionSpec, levels=(64, 128, 256), rank_tol: float = 1e-8,
-                stability: float = 0.05) -> UnionSweepReport:
+def union_sweep(spec: UnionSpec, levels=(64, 128, 256), rank_tol: float = 1e-8) -> UnionSweepReport:
     """Union check across refinements: a common zero of every generator drives
     p_hat, and with it the stacked lower bound, to zero."""
     levels = refinement_levels(levels)
     reports = [union_check(spec, lv, rank_tol) for lv in levels]
     p_hats = [r.p_hat for r in reports]
     lowers = [r.total_report.lower for r in reports]
-    predicted = trend_is_stable(p_hats, stability)
-    measured = trend_is_stable(lowers, stability)
+    predicted = trend_is_stable(p_hats)
+    measured = trend_is_stable(lowers)
     consistent = predicted == measured and all(r.within for r in reports)
     return UnionSweepReport(
         levels=levels,

@@ -550,6 +550,8 @@ def test_flag_overrides(workdir):
     assert rep["grid"]["refine"] == [32, 64]
     assert rep["seed"] == 7
     assert main(["--config", cfg_path, "--refine", "a,b"]) == 2
+    assert main(["--config", cfg_path, "--refine", "64"]) == 2
+    assert main(["--config", cfg_path, "--refine", "0,64"]) == 2
     assert main(["--config", cfg_path, "--seed", "-3"]) == 2
     del pts
 
@@ -593,6 +595,49 @@ def _reversed_union_part(workdir, command):
             "inputs": {"pointset": pts, "parts": [{"intervals": [[1.0, 0.0]], "expr": "1"}]}}
 
 
+def _pointset_file(workdir, command, name, text):
+    (workdir / name).write_text(text)
+    return {"command": command, "inputs": {"pointset": str(workdir / name)}}
+
+
+def _pointset_row_not_numeric(workdir, command):
+    return _pointset_file(workdir, command, "abc.csv", "0.0\nabc\n1.0\n")
+
+
+def _pointset_row_nan(workdir, command):
+    return _pointset_file(workdir, command, "nan.csv", "0.0\nnan\n1.0\n")
+
+
+def _pointset_json_without_points(workdir, command):
+    return _pointset_file(workdir, command, "nopoints.json", '{"dim": 1, "box": [[0, 1]]}')
+
+
+def _pointset_csv_empty(workdir, command):
+    return _pointset_file(workdir, command, "empty.csv", "")
+
+
+def _spectrum_file(workdir, command, bad_row):
+    """A spectrum CSV on the 4-node grid of [0, 1] whose third data row is ``bad_row``."""
+    rows = ["omega,re,im", "0.125,2.0,0.0", "0.375,2.0,0.0", bad_row, "0.875,2.0,0.0"]
+    (workdir / "spec.csv").write_text("\n".join(rows) + "\n")
+    dom, pts = unit_setup(workdir, 4)
+    key = "multiplier" if command == "mult-check" else "generator"
+    return {"command": command, "grid": {"n_per_unit": 4},
+            "inputs": {"domain": dom, "pointset": pts, key: {"csv": str(workdir / "spec.csv")}}}
+
+
+def _spectrum_value_not_numeric(workdir, command):
+    return _spectrum_file(workdir, command, "0.625,two,0.0")
+
+
+def _spectrum_row_short(workdir, command):
+    return _spectrum_file(workdir, command, "0.625,2.0")
+
+
+def _spectrum_value_nan(workdir, command):
+    return _spectrum_file(workdir, command, "0.625,nan,0.0")
+
+
 @pytest.mark.parametrize(
     "make, command, named",
     [
@@ -600,6 +645,13 @@ def _reversed_union_part(workdir, command):
         (_bump_without_delta, "translate-check", "delta"),
         (_domain_without_intervals, "frame-bounds", "intervals"),
         (_reversed_union_part, "union-check", "inputs/parts/0/intervals"),
+        (_pointset_row_not_numeric, "gap", "abc.csv"),
+        (_pointset_row_nan, "density", "nan.csv"),
+        (_pointset_json_without_points, "gap", "nopoints.json"),
+        (_pointset_csv_empty, "gap", "empty.csv"),
+        (_spectrum_value_not_numeric, "mult-check", "spec.csv: bad spectrum row 4"),
+        (_spectrum_row_short, "translate-check", "spec.csv: bad spectrum row 4"),
+        (_spectrum_value_nan, "mult-check", "spec.csv: bad spectrum row 4"),
     ],
 )
 def test_malformed_input_files_are_exit_2(workdir, capsys, make, command, named):

@@ -247,6 +247,9 @@ def test_oversampled_expansion_reconstructs():
     ps = half_integer_lattice(grid)
     f_hat = bandlimited_target(grid, spec.base_domain)
     res = oversampled_expansion(f_hat, gen, ps, spec.base_domain)
+    assert np.array_equal(
+        res.reconstruction, (exponential_system(grid, ps).matrix @ res.alphas) * gen.hat.values
+    )
     # two interleaved matched lattices: the frame operator is exactly 2*measure
     assert res.exp_report.lower == pytest.approx(1.8, abs=1e-9)
     assert res.cg_residual <= 1e-9
