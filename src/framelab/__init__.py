@@ -92,6 +92,7 @@ from .translates import (
     obstruction_trend,
     outer_frame_check,
     oversampled_expansion,
+    oversampled_expansions,
     save_generator_csv,
     smoothstep,
     time_frame_sum,

@@ -29,6 +29,7 @@ from .multiplication import _CHECKS as _SINGLE_CHECKS
 from .multiplication import check_converse, jsonable, multiply_system, refine_check
 from .multiplication import refinement_levels
 from .pointset import (
+    PointSet,
     beurling_1d_frame_predicate,
     beurling_ball_frame_predicate,
     beurling_density,
@@ -46,7 +47,7 @@ from .translates import (
     classify_translates,
     load_generator_csv,
     obstruction_trend,
-    oversampled_expansion,
+    oversampled_expansions,
     save_generator_csv,
     union_check,
     union_sweep,
@@ -328,6 +329,16 @@ def _load_bump(path) -> BumpSpec:
         return BumpSpec.from_dict(json.load(fh))
 
 
+def _load_frequencies(path) -> PointSet:
+    """A point set read as the frequencies of an exponential system, which are 1-D."""
+    ps = load_pointset(path)
+    if ps.dim != 1:
+        raise ConfigError(
+            f"{path}: bad point set (frequencies must be 1-D, got {ps.dim}-D points)"
+        )
+    return ps
+
+
 def _bump_generator(spec: BumpSpec, n_per_unit: int) -> Generator:
     """The bump generator sampled on a grid over its dilated band."""
     return build_bump_generator(spec, make_grid(spec.dilated, n_per_unit))
@@ -391,7 +402,7 @@ def _cmd_gap(cfg: RunConfig):
 
 def _cmd_frame_bounds(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
-    ps = load_pointset(cfg.inputs["pointset"])
+    ps = _load_frequencies(cfg.inputs["pointset"])
     grid = make_grid(dom, cfg.n_per_unit)
     report = measure_bounds(exponential_system(grid, ps), cfg.rank_tol)
     rows = [[i, float(v)] for i, v in enumerate(report.spectrum)]
@@ -400,7 +411,7 @@ def _cmd_frame_bounds(cfg: RunConfig):
 
 def _cmd_mult_check(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
-    ps = load_pointset(cfg.inputs["pointset"])
+    ps = _load_frequencies(cfg.inputs["pointset"])
     check = cfg.inputs.get("check", "frame")
     grid = make_grid(dom, cfg.n_per_unit)
     gen, phi_fn = _load_generator(grid, cfg.inputs["multiplier"], cfg.n_per_unit)
@@ -421,7 +432,7 @@ def _cmd_mult_check(cfg: RunConfig):
 
 def _cmd_translate_check(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
-    ps = load_pointset(cfg.inputs["pointset"])
+    ps = _load_frequencies(cfg.inputs["pointset"])
     grid = make_grid(dom, cfg.n_per_unit)
     gen, hat_fn = _load_generator(grid, cfg.inputs["generator"], cfg.n_per_unit)
     sweep = cfg.inputs.get("sweep", False)
@@ -465,7 +476,7 @@ _TARGET_FIELDS = ("cg_residual", "product_residual", "vanish_outside", "coeff_no
 
 def _cmd_reconstruct(cfg: RunConfig):
     band = load_domain(cfg.inputs["band"])
-    ps = load_pointset(cfg.inputs["pointset"])
+    ps = _load_frequencies(cfg.inputs["pointset"])
     if "densify" in cfg.inputs:
         d = cfg.inputs["densify"]
         ps = densify(ps, d["target_gap"], d["sep_min"])
@@ -483,13 +494,9 @@ def _cmd_reconstruct(cfg: RunConfig):
             targets.append(SampledFunction(grid, vals * inside))
 
     tol = cfg.inputs.get("residual_tol", 1e-8)
-    expansions = [
-        oversampled_expansion(
-            f_hat, gen, ps, band, tol=cfg.recon_tol, max_iter=cfg.max_iter,
-            rank_tol=cfg.rank_tol,
-        )
-        for f_hat in targets
-    ]
+    expansions = oversampled_expansions(
+        targets, gen, ps, band, tol=cfg.recon_tol, max_iter=cfg.max_iter, rank_tol=cfg.rank_tol,
+    )
     runs = [{k: getattr(res, k) for k in _TARGET_FIELDS} for res in expansions]
     passed = all(
         r["product_residual"] <= tol and r["vanish_outside"] <= tol and r["coeff_bound_ok"]
@@ -513,7 +520,7 @@ def _cmd_reconstruct(cfg: RunConfig):
 
 
 def _cmd_union_check(cfg: RunConfig):
-    ps = load_pointset(cfg.inputs["pointset"])
+    ps = _load_frequencies(cfg.inputs["pointset"])
     parts = []
     for j, p in enumerate(cfg.inputs["parts"]):
         try:

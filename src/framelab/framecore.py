@@ -114,11 +114,17 @@ def gram(sys: SynthesisSystem) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
+def _adjoint(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U^H v without forming U^H: U.T is a view, and conjugating v and the
+    product instead of U only flips signs, so the result is bit-identical."""
+    return (U.T @ v.conj()).conj()
+
+
 def analyze(sys: SynthesisSystem, f: SampledFunction) -> np.ndarray:
     """Analysis coefficients <f, psi_k> for every member."""
     if not f.grid.matches(sys.grid):
         raise GridMismatchError("function and system live on different grids")
-    return sys.weighted.conj().T @ (np.sqrt(sys.grid.weights) * f.values)
+    return _adjoint(sys.weighted, np.sqrt(sys.grid.weights) * f.values)
 
 
 def synthesize(sys: SynthesisSystem, coeffs) -> SampledFunction:
@@ -317,7 +323,7 @@ def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = 1e-10,
         return ReconstructionResult(np.zeros(sys.size, dtype=complex), 0.0, 0)
 
     u_scale = float(np.linalg.norm(U))
-    if u_scale == 0.0 or float(np.linalg.norm(U.conj().T @ b)) <= 1e-12 * u_scale * b_norm:
+    if u_scale == 0.0 or float(np.linalg.norm(_adjoint(U, b))) <= 1e-12 * u_scale * b_norm:
         raise NotInSpanError(
             "target is not in span: residual 1.000e+00 is invisible to the system",
             residual=1.0,
@@ -332,7 +338,7 @@ def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = 1e-10,
     best_x = x
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        q = U @ (U.conj().T @ p)
+        q = U @ _adjoint(U, p)
         den = float(np.vdot(p, q).real)
         pp = float(np.vdot(p, p).real)
         # relative guard: a step with Rayleigh quotient this far below the
@@ -353,12 +359,12 @@ def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = 1e-10,
         p = r + (rs_new / rs) * p
         rs = rs_new
 
-    residual_vec = b - U @ (U.conj().T @ best_x)
+    residual_vec = b - U @ _adjoint(U, best_x)
     residual = float(np.linalg.norm(residual_vec)) / b_norm
-    coeffs = U.conj().T @ best_x
+    coeffs = _adjoint(U, best_x)
     if residual > tol:
         r_norm = float(np.linalg.norm(residual_vec))
-        seen = float(np.linalg.norm(U.conj().T @ residual_vec))
+        seen = float(np.linalg.norm(_adjoint(U, residual_vec)))
         scale = float(np.linalg.norm(U)) * r_norm
         if scale == 0.0 or seen <= 1e-9 * scale:
             raise NotInSpanError(

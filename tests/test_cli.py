@@ -439,6 +439,50 @@ def test_reconstruct_with_target_csv_and_densify(workdir):
     assert rep["results"]["n_points"] > 288
 
 
+def test_reconstruct_job_builds_one_system_for_all_targets(workdir, monkeypatch):
+    import framelab.translates as translates
+    from framelab.domain import Domain, SampledFunction, make_grid
+    from framelab.pointset import load_pointset
+    from framelab.translates import BumpSpec, build_bump_generator, oversampled_expansion
+
+    calls = {"exponential_system": 0, "measure_bounds": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(translates, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(translates, name, counted)
+    band = write_json(workdir / "band.json", {"intervals": [[-0.4, 0.4]]})
+    pts = half_integer_points(workdir)
+    out = str(workdir / "report.json")
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": "reconstruct",
+            "inputs": {"band": band, "delta": 0.05, "pointset": pts, "n_targets": 3},
+            "grid": {"n_per_unit": 320},
+            "seed": 5,
+        },
+    )
+    assert main(["--config", cfg_path, "--out", out]) == 0
+    assert calls == {"exponential_system": 1, "measure_bounds": 1}
+    monkeypatch.undo()
+
+    # the job's seeded targets, expanded one at a time
+    spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
+    grid = make_grid(spec.dilated, 320)
+    gen = build_bump_generator(spec, grid)
+    ps = load_pointset(pts)
+    inside = spec.base_domain.contains(grid.nodes)
+    rng = np.random.default_rng(5)
+    runs = read_report(out)["results"]["targets"]
+    assert len(runs) == 3
+    for run_record in runs:
+        vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        single = oversampled_expansion(SampledFunction(grid, vals * inside), gen, ps,
+                                       spec.base_domain)
+        assert run_record == {k: getattr(single, k) for k in run_record}
+
+
 # --- unions and the continuity demo -------------------------------------------------
 
 
@@ -658,6 +702,35 @@ def test_malformed_input_files_are_exit_2(workdir, capsys, make, command, named)
     cfg_path = write_json(workdir / "cfg.json", make(workdir, command))
     assert main(["--config", cfg_path]) == 2
     assert named in capsys.readouterr().err
+
+
+def _planar_inputs(workdir, command):
+    """Minimal inputs of ``command`` whose point set is 2-D."""
+    (workdir / "plane.csv").write_text("0,0\n1,0\n0,1\n0.5,0.5\n")
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    extra = {
+        "frame-bounds": {"domain": dom},
+        "mult-check": {"domain": dom, "multiplier": {"expr": "1"}},
+        "translate-check": {"domain": dom, "generator": {"expr": "1"}},
+        "reconstruct": {"band": dom, "delta": 0.05},
+        "union-check": {"parts": [{"intervals": [[0.0, 1.0]], "expr": "1"}]},
+    }.get(command, {})
+    return {"command": command, "inputs": {"pointset": str(workdir / "plane.csv"), **extra}}
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("frame-bounds", 2), ("mult-check", 2), ("translate-check", 2), ("reconstruct", 2),
+     ("union-check", 2), ("gap", 0), ("density", 0)],
+)
+def test_planar_point_sets_exit_2_where_frequencies_are_needed(workdir, capsys, command, code):
+    """Exponential systems need 1-D frequencies; gap and density take d-D sets."""
+    cfg_path = write_json(workdir / "cfg.json", _planar_inputs(workdir, command))
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "plane.csv: bad point set" in err and "1-D" in err
 
 
 def test_run_config_validates_refine_programmatically():

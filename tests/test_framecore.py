@@ -12,6 +12,7 @@ from framelab.errors import (
 )
 from framelab.framecore import (
     SynthesisSystem,
+    _adjoint,
     analyze,
     exponential_system,
     frame_operator_apply,
@@ -222,6 +223,15 @@ def test_analyze_matches_member_loop(seed):
     assert float(np.sum(np.abs(analyze(sys, f)) ** 2)) == pytest.approx(
         oracle_frame_sums(sys, f), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("n, k", [(9, 7), (288, 1801)])
+def test_adjoint_equals_conjugate_transpose_product_exactly(n, k):
+    """U^H v without a conjugate copy of U is the reference product bit for bit."""
+    rng = np.random.default_rng(n)
+    U = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.array_equal(_adjoint(U, v), U.conj().T @ v)
 
 
 def test_frame_operator_is_identity_for_onb():

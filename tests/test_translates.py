@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import framelab.translates as translates
 from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.errors import FrameLabError, HypothesisError
 from framelab.framecore import exponential_system, measure_bounds, synthesize
@@ -21,6 +24,7 @@ from framelab.translates import (
     obstruction_trend,
     outer_frame_check,
     oversampled_expansion,
+    oversampled_expansions,
     save_generator_csv,
     smoothstep,
     time_frame_sum,
@@ -289,6 +293,71 @@ def test_oversampled_expansion_requires_frame():
     f_hat = bandlimited_target(grid, spec.base_domain)
     with pytest.raises(HypothesisError, match="not a frame"):
         oversampled_expansion(f_hat, gen, PointSet.from_1d([0.0, 1.0, 2.0]), spec.base_domain)
+
+
+def random_band_targets(grid, band, n, seed=3):
+    rng = np.random.default_rng(seed)
+    inside = band.contains(grid.nodes)
+    return [
+        SampledFunction(grid, (rng.standard_normal(grid.size)
+                               + 1j * rng.standard_normal(grid.size)) * inside)
+        for _ in range(n)
+    ]
+
+
+def test_oversampled_expansions_match_single_calls():
+    spec, grid, gen = plateau_setup()
+    ps = half_integer_lattice(grid)
+    targets = random_band_targets(grid, spec.base_domain, 3)
+    batch = oversampled_expansions(targets, gen, ps, spec.base_domain)
+    assert len(batch) == 3
+    for f_hat, res in zip(targets, batch):
+        single = oversampled_expansion(f_hat, gen, ps, spec.base_domain)
+        assert np.array_equal(res.alphas, single.alphas)
+        assert np.array_equal(res.reconstruction, single.reconstruction)
+        for name in ("cg_residual", "product_residual", "vanish_outside", "coeff_norm_sq",
+                     "coeff_bound", "coeff_bound_ok"):
+            assert getattr(res, name) == getattr(single, name), name
+        assert res.exp_report.lower == single.exp_report.lower
+        assert res.exp_report.upper == single.exp_report.upper
+    # one measurement of the shared system serves every target
+    assert batch[0].exp_report is batch[2].exp_report
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (np.ones, "target spectrum leaks outside the inner band"),
+        (np.zeros, "target spectrum is identically zero"),
+    ],
+)
+def test_oversampled_expansions_validate_every_target_first(monkeypatch, second, message):
+    spec, grid, gen = plateau_setup()
+    builds = []
+    build = translates.exponential_system
+    monkeypatch.setattr(translates, "exponential_system",
+                        lambda g, ps: builds.append(g) or build(g, ps))
+    good = bandlimited_target(grid, spec.base_domain)
+    targets = [good, SampledFunction(grid, second(grid.size)), good]
+    with pytest.raises(FrameLabError, match=f"^{message}$"):
+        oversampled_expansions(targets, gen, half_integer_lattice(grid), spec.base_domain)
+    assert builds == []
+
+
+def test_expansion_budget_warning_names_the_caller(monkeypatch):
+    # a claimed lower bound far above the measured one leaves every
+    # expansion over its coefficient budget
+    measure = translates.measure_bounds
+    monkeypatch.setattr(translates, "measure_bounds",
+                        lambda sys, rank_tol: dataclasses.replace(measure(sys, rank_tol), lower=1e6))
+    spec, grid, gen = plateau_setup()
+    ps = half_integer_lattice(grid)
+    f_hat = bandlimited_target(grid, spec.base_domain)
+    for expand in (lambda: oversampled_expansion(f_hat, gen, ps, spec.base_domain),
+                   lambda: oversampled_expansions([f_hat], gen, ps, spec.base_domain)[0]):
+        with pytest.warns(UserWarning, match="frame-bound budget") as record:
+            assert not expand().coeff_bound_ok
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_expansion_tail_profile_budget():
