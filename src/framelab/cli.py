@@ -274,15 +274,25 @@ def _validate(instance, schema, prefix: str = "") -> None:
         raise ConfigError(f"{loc}: {err.message}")
 
 
+def _finite(text: str) -> float:
+    """A JSON number, or NaN / Infinity / -Infinity, which json accepts; only finite ones pass."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def parse_config(path) -> RunConfig:
-    """Load and validate a JSON run config; unknown keys are rejected."""
+    """Load and validate a JSON run config; unknown keys and non-finite numbers are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
     _validate(raw, _CONFIG_SCHEMA)
     _validate(raw.get("inputs", {}), _INPUT_SCHEMAS[raw["command"]], prefix="inputs")
     # only the keys the file sets: the rest keep the RunConfig defaults

@@ -4,6 +4,17 @@ Quadrature weights are absorbed into the member matrix as a sqrt(w) row
 scaling, so singular values of the weighted matrix are exactly the square
 roots of the operator bounds: the weighted frame operator is U @ U^H and the
 Gram matrix is U^H @ U, and the two share their nonzero spectrum.
+
+On a uniform one-interval grid with step h the frame operator of an
+exponential system is Hermitian Toeplitz, T[j, l] = h sum_k
+e^{-2 pi i (j - l) h lambda_k}, so the system keeps only its first column and
+``measure_bounds`` builds the operator from it in O(n^2) instead of the
+O(n^2 K) product U @ U^H.  With J the reversal matrix, J T J = conj(T), so
+Q = (I + iJ)/sqrt(2) is unitary and Q^H T Q = Re T - Im(T J), a real
+symmetric Toeplitz-minus-Hankel matrix (the *real form*) whose real
+eigensolve replaces the complex one.  A product with a multiplier phi has
+frame operator diag(phi) T diag(conj(phi)), also formed in O(n^2).  Every
+other system (multi-interval grids, raw member matrices) is formed densely.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import Grid, SampledFunction
 from .errors import FrameLabError, GridMismatchError, NotInSpanError, ReconstructionError
@@ -45,6 +57,12 @@ class SynthesisSystem:
     ``members`` may be a list of SampledFunctions or an (n_nodes, n_members)
     complex matrix of member values.  Value semantics: never mutated.
     """
+
+    # set only on exponential systems of a uniform one-interval grid and on
+    # their products: the first column of the unmultiplied Toeplitz frame
+    # operator and the multiplier values applied since (None: unmultiplied)
+    _column = None
+    _multiplier = None
 
     def __init__(self, grid: Grid, members, labels=None):
         if isinstance(members, np.ndarray):
@@ -97,6 +115,14 @@ class SynthesisSystem:
     def scaled(self, s: complex) -> "SynthesisSystem":
         return SynthesisSystem(self.grid, s * self.matrix, self.labels)
 
+    def multiplied(self, phi: np.ndarray) -> "SynthesisSystem":
+        """Members phi * psi_k for node values phi; keeps the Toeplitz column."""
+        out = SynthesisSystem(self.grid, phi[:, None] * self.matrix, self.labels)
+        if self._column is not None:
+            out._column = self._column
+            out._multiplier = phi if self._multiplier is None else self._multiplier * phi
+        return out
+
 
 def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
     """Members exp(-2 pi i lambda_k t) on g's nodes, labeled by lambda_k."""
@@ -104,7 +130,10 @@ def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
         raise ValueError("exponential systems take 1-D frequency sets")
     lam = ps.xs
     mat = np.exp(-2j * np.pi * np.outer(g.nodes, lam))
-    return SynthesisSystem(g, mat, labels=lam)
+    sys = SynthesisSystem(g, mat, labels=lam)
+    if g.steps is not None and len(g.steps) == 1:
+        sys._column = g.steps[0] * (mat @ mat[0].conj())
+    return sys
 
 
 def gram(sys: SynthesisSystem) -> np.ndarray:
@@ -112,6 +141,38 @@ def gram(sys: SynthesisSystem) -> np.ndarray:
     U = sys.weighted
     G = U.conj().T @ U
     return 0.5 * (G + G.conj().T)
+
+
+def _diagonals(c: np.ndarray) -> np.ndarray:
+    """T[j, l] = v[n - 1 + j - l] for the Hermitian Toeplitz T with first column c."""
+    return np.concatenate([c[:0:-1].conj(), c])
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix with first column c, as a read-only view."""
+    return sliding_window_view(_diagonals(c), c.size)[::-1].T
+
+
+def _real_form(c: np.ndarray) -> np.ndarray:
+    """Q^H T Q = Re T - Im(T J), Q = (I + iJ)/sqrt(2): real, exactly symmetric,
+    with the spectrum of the Hermitian Toeplitz T of first column c."""
+    v = _diagonals(c)
+    return sliding_window_view(v.real, c.size)[::-1] - sliding_window_view(v.imag, c.size)
+
+
+def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
+    """A Hermitian matrix unitarily similar to S = U U^H: the real form of T,
+    diag(phi) T diag(conj(phi)), or the dense product (see the module notes)."""
+    c = sys._column
+    if c is None:
+        U = sys.weighted
+        return U @ U.conj().T
+    phi = sys._multiplier
+    if phi is None:
+        return _real_form(c)
+    S = phi[:, None] * _toeplitz(c)
+    S *= phi.conj()
+    return S
 
 
 def _adjoint(U: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,9 +269,10 @@ def _grid_resolution(grid: Grid) -> dict:
 def measure_bounds(sys: SynthesisSystem, rank_tol: float = 1e-8, bessel_bound=None) -> FrameReport:
     """Frame bounds and status flags from the weighted spectra.
 
-    Computes the spectrum of S = U U^H and of the Gram G = U^H U (whichever
-    fit the dense-eigensolve budget), cross-checks that their nonzero parts
-    agree, and reads the bounds off the retained spectrum:
+    Computes the spectrum of S = U U^H (formed by ``_frame_operator``) and of
+    the Gram G = U^H U (whichever fit the dense-eigensolve budget),
+    cross-checks that their nonzero parts agree, and reads the bounds off the
+    retained spectrum:
 
       upper = largest eigenvalue, rank = count above rank_tol * upper,
       lower = smallest retained eigenvalue.
@@ -219,15 +281,15 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = 1e-8, bessel_bound=No
     supplied; frame_for_whole_space needs rank == dim; riesz_sequence needs a
     fully retained Gram spectrum; tight means relative spread <= 1e-8.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not 0 < rank_tol < math.inf:
+        raise ValueError("rank_tol must be positive and finite")
     U = sys.weighted
     n, k = U.shape
     if min(n, k) > _FULL_SPECTRUM_LIMIT:
         raise FrameLabError(
             f"system of size {n} x {k} exceeds the dense spectral budget"
         )
-    eigs_s = np.linalg.eigvalsh(U @ U.conj().T) if n <= _FULL_SPECTRUM_LIMIT else None
+    eigs_s = np.linalg.eigvalsh(_frame_operator(sys)) if n <= _FULL_SPECTRUM_LIMIT else None
     eigs_g = np.linalg.eigvalsh(U.conj().T @ U) if k <= _FULL_SPECTRUM_LIMIT else None
 
     if eigs_s is not None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import Domain, Grid, SampledFunction, extend_grid, make_grid
 from .errors import FrameLabError, HypothesisError
-from .framecore import FrameReport, SynthesisSystem, exponential_system, gram, measure_bounds
+from .framecore import FrameReport, SynthesisSystem, exponential_system, measure_bounds
 from .pointset import PointSet
 
 if TYPE_CHECKING:
@@ -117,7 +117,7 @@ def _cells_to_domain(g: Grid, mask: np.ndarray) -> Domain | None:
 def multiply_system(sys: SynthesisSystem, phi: SampledFunction) -> SynthesisSystem:
     if not phi.grid.matches(sys.grid):
         raise FrameLabError("multiplier is not sampled on the system grid")
-    return SynthesisSystem(sys.grid, phi.values[:, None] * sys.matrix, sys.labels)
+    return sys.multiplied(phi.values)
 
 
 def trend_is_stable(values) -> bool:
@@ -360,8 +360,8 @@ def _judge_riesz(p, trace):
     predicted = {"riesz": _bounded_below(p.profile, trace)}
     rep = p.mult_report
     measured = {"riesz": rep.flags.riesz_sequence and rep.rank == rep.dim_space}
-    g_eigs = np.linalg.eigvalsh(gram(p.mult))
-    g_extremes = (float(max(g_eigs[0], 0.0)), float(max(g_eigs[-1], 0.0)))
+    # the base is a Riesz basis (K <= n), so measure_bounds kept the Gram extremes
+    g_extremes = rep.gram_extremes
     base_g = p.base_report.gram_extremes
     envelope = (base_g[0] * p.profile.ess_inf**2, base_g[1] * p.profile.ess_sup**2)
     holds = not predicted["riesz"] or within_envelope(envelope, g_extremes)

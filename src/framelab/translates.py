@@ -442,8 +442,8 @@ def outer_frame_check(gen: Generator, ps: PointSet, band: Domain,
         )
     exp = exponential_system(grid, ps)
     chi = inside.astype(complex)
-    projected = SynthesisSystem(grid, (chi * gen.hat.values)[:, None] * exp.matrix, exp.labels)
-    reference = SynthesisSystem(grid, chi[:, None] * exp.matrix, exp.labels)
+    projected = exp.multiplied(chi * gen.hat.values)
+    reference = exp.multiplied(chi)
     proj_report = measure_bounds(projected, rank_tol)
     ref_report = measure_bounds(reference, rank_tol)
     full_report = measure_bounds(multiply_system(exp, gen.hat), rank_tol)
@@ -666,8 +666,7 @@ def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8) -> Uni
         hat = np.asarray(part.hat_fn(grid.nodes), dtype=complex) * mask
         sum_sq += np.abs(hat) ** 2
         blocks.append(hat[:, None] * exp.matrix)
-        masked = SynthesisSystem(grid, mask.astype(complex)[:, None] * exp.matrix, exp.labels)
-        rep = measure_bounds(masked, rank_tol)
+        rep = measure_bounds(exp.multiplied(mask.astype(complex)), rank_tol)
         part_bounds.append((rep.lower, rep.upper))
         part_ranks.append(rep.rank)
     stacked = SynthesisSystem(

@@ -742,3 +742,43 @@ def test_run_rejects_unreadable_input_file(workdir, capsys):
     cfg = RunConfig(command="gap", inputs={"pointset": str(workdir / "missing.csv")})
     assert run(cfg) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _dft_frame_bounds(workdir):
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    pts = write_points(workdir / "pts.csv", np.arange(64) - 32.0)
+    return {"command": "frame-bounds", "inputs": {"domain": dom, "pointset": pts},
+            "grid": {"n_per_unit": 64}}
+
+
+def _reconstruct(workdir):
+    band = write_json(workdir / "band.json", {"intervals": [[-0.4, 0.4]]})
+    return {"command": "reconstruct",
+            "inputs": {"band": band, "delta": 0.05, "pointset": half_integer_points(workdir),
+                       "n_targets": 1},
+            "grid": {"n_per_unit": 320}}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "make, section, key",
+    [(_dft_frame_bounds, "tolerances", "rank_tol"),
+     (_reconstruct, "tolerances", "recon_tol"),
+     (_reconstruct, "inputs", "delta")],
+)
+def test_non_finite_config_numbers_are_exit_2(workdir, capsys, make, section, key, value):
+    cfg = make(workdir)
+    cfg.setdefault(section, {})[key] = value
+    # json.dumps writes NaN, Infinity and -Infinity, which json.load accepts
+    cfg_path = write_json(workdir / "cfg.json", cfg)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cfg.json" in err and "non-finite" in err
+    assert not (workdir / "report.json").exists()
+
+
+def test_finite_config_of_the_non_finite_cases_runs(workdir):
+    for make in (_dft_frame_bounds, _reconstruct):
+        cfg_path = write_json(workdir / "cfg.json", make(workdir))
+        assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 0
