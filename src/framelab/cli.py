@@ -24,9 +24,9 @@ import numpy as np
 from .domain import Domain, SampledFunction, load_domain, make_grid
 from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
 from .expr import parse_multiplier
-from .framecore import exponential_system, measure_bounds
+from .framecore import RANK_TOL, exponential_system, measure_bounds
 from .multiplication import _CHECKS as _SINGLE_CHECKS
-from .multiplication import check_converse, jsonable, multiply_system, refine_check
+from .multiplication import DEFAULT_LEVELS, check_converse, multiply_system, refine_check
 from .multiplication import refinement_levels
 from .pointset import (
     PointSet,
@@ -38,6 +38,7 @@ from .pointset import (
     load_pointset,
     separation,
 )
+from .records import jsonable
 from .translates import (
     BumpSpec,
     Generator,
@@ -247,8 +248,8 @@ class RunConfig:
     command: str
     inputs: dict = field(default_factory=dict)
     n_per_unit: int = 128
-    refine: tuple = (64, 128, 256)
-    rank_tol: float = 1e-8
+    refine: tuple = DEFAULT_LEVELS
+    rank_tol: float = RANK_TOL
     recon_tol: float = 1e-10
     max_iter: int = 2000
     seed: int = 0
@@ -282,11 +283,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    """A JSON integer that a float can hold: a longer one overflows float arithmetic."""
+    if not np.isfinite(float(text)):
+        raise ValueError(f"integer of {len(text)} digits is too large for a float")
+    return int(text)
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON run config; unknown keys and non-finite numbers are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(fh, parse_float=_finite, parse_int=_int, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -374,22 +382,28 @@ def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
 
 
 def _cmd_density(cfg: RunConfig):
-    ps = load_pointset(cfg.inputs["pointset"])
+    path = cfg.inputs["pointset"]
+    ps = load_pointset(path)
     if "r_values" in cfg.inputs:
         r_values = list(cfg.inputs["r_values"])
     else:
         r_star = min(hi - lo for lo, hi in ps.box) / 2.0
+        if r_star <= 0.0:
+            raise ConfigError(f"{path}: bad point set (its box has a zero-width side, "
+                              "so no density window fits)")
         r_values = [r_star / 4.0, r_star / 2.0, r_star]
     report = beurling_density(ps, r_values)
-    results = {"density": report.to_dict(), "separation": separation(ps)}
+    results = {"density": report, "separation": separation(ps)}
     if ("a" in cfg.inputs) != ("r" in cfg.inputs):
         raise ConfigError("inputs: the interval predicate needs both 'a' and 'r'")
     if "a" in cfg.inputs:
-        pred = beurling_1d_frame_predicate(ps, cfg.inputs["a"], cfg.inputs["r"])
-        results["interval_predicate"] = dataclasses.asdict(pred)
+        if ps.dim != 1:
+            raise ConfigError(f"{path}: bad point set (the interval predicate needs 1-D "
+                              f"points, got {ps.dim}-D)")
+        results["interval_predicate"] = beurling_1d_frame_predicate(
+            ps, cfg.inputs["a"], cfg.inputs["r"])
     if "r_ball" in cfg.inputs:
-        pred = beurling_ball_frame_predicate(ps, cfg.inputs["r_ball"])
-        results["ball_predicate"] = dataclasses.asdict(pred)
+        results["ball_predicate"] = beurling_ball_frame_predicate(ps, cfg.inputs["r_ball"])
     rows = list(
         zip(
             report.r_values,
@@ -416,7 +430,7 @@ def _cmd_frame_bounds(cfg: RunConfig):
     grid = make_grid(dom, cfg.n_per_unit)
     report = measure_bounds(exponential_system(grid, ps), cfg.rank_tol)
     rows = [[i, float(v)] for i, v in enumerate(report.spectrum)]
-    return {"report": report.to_dict()}, True, (["index", "eigenvalue"], rows)
+    return {"report": report}, True, (["index", "eigenvalue"], rows)
 
 
 def _cmd_mult_check(cfg: RunConfig):
@@ -432,12 +446,12 @@ def _cmd_mult_check(cfg: RunConfig):
     if check == "converse":
         base = exponential_system(grid, ps)
         report = check_converse(multiply_system(base, phi), phi, cfg.rank_tol)
-        return {"check": report.to_dict()}, report.consistent, None
+        return {"check": report}, report.consistent, None
     if sweep:
         sweep_report, plot = _refine(cfg, dom, ps, phi_fn, check)
-        return {"sweep": sweep_report.to_dict()}, sweep_report.consistent, plot
+        return {"sweep": sweep_report}, sweep_report.consistent, plot
     report = _SINGLE_CHECKS[check](exponential_system(grid, ps), phi, rank_tol=cfg.rank_tol)
-    return {"check": report.to_dict()}, report.consistent, None
+    return {"check": report}, report.consistent, None
 
 
 def _cmd_translate_check(cfg: RunConfig):
@@ -447,14 +461,14 @@ def _cmd_translate_check(cfg: RunConfig):
     gen, hat_fn = _load_generator(grid, cfg.inputs["generator"], cfg.n_per_unit)
     sweep = cfg.inputs.get("sweep", False)
     report = classify_translates(gen, ps, rank_tol=cfg.rank_tol)
-    results = {"classification": report.to_dict()}
+    results = {"classification": report}
     passed = report.consistent
     plot = None
     if sweep:
         if hat_fn is None:
             raise ConfigError("inputs/generator: only expression generators support sweeps")
         sweep_report, plot = _refine(cfg, dom, ps, hat_fn, "frame")
-        results["sweep"] = sweep_report.to_dict()
+        results["sweep"] = sweep_report
         passed = sweep_report.consistent
     return results, passed, plot
 
@@ -466,7 +480,7 @@ def _cmd_build_generator(cfg: RunConfig):
     save_generator_csv(gen, cfg.inputs["csv_out"])
     on_base = spec.base_domain.contains(grid.nodes)
     results = {
-        "bump": spec.to_dict(),
+        "bump": spec,
         "nodes": grid.size,
         "base_nodes": int(on_base.sum()),
         "max_dev_on_base": float(np.abs(gen.hat.values[on_base] - 1.0).max()),
@@ -545,11 +559,11 @@ def _cmd_union_check(cfg: RunConfig):
             [lv, p, lo]
             for lv, p, lo in zip(report.levels, report.p_hats, report.lowers)
         ]
-        return {"sweep": report.to_dict()}, report.consistent, (["level", "p_hat", "lower"], rows)
+        return {"sweep": report}, report.consistent, (["level", "p_hat", "lower"], rows)
     report = union_check(spec, cfg.n_per_unit, cfg.rank_tol)
     rows = [[report.p_hat, report.P_hat, report.total_report.lower, report.total_report.upper]]
     return (
-        {"union": report.to_dict()},
+        {"union": report},
         report.consistent,
         (["p_hat", "P_hat", "lower", "upper"], rows),
     )
@@ -575,8 +589,8 @@ def _cmd_corollary_demo(cfg: RunConfig):
     )
     results = {
         "hat_expr": hat.source,
-        "hat": hat_report.to_dict(),
-        "control": control_report.to_dict(),
+        "hat": hat_report,
+        "control": control_report,
     }
     rows = [
         [lv, h, c]

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import csv
 from contextlib import contextmanager
 
 
@@ -51,10 +52,11 @@ def input_file(path, what: str):
     """Turn a malformed input file into a ConfigError that names the file.
 
     Parse and validation failures inside the block (``KeyError``,
-    ``TypeError``, ``ValueError``, which covers bad JSON) become
-    "``path``: bad ``what`` (...)".
+    ``TypeError``, ``ValueError``, which covers bad JSON and undecodable
+    bytes, ``OverflowError`` from integers too large for a float, and
+    ``csv.Error``) become "``path``: bad ``what`` (...)".
     """
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
         raise ConfigError(f"{path}: bad {what} ({type(exc).__name__}: {exc})") from exc

@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .domain import Grid, SampledFunction
 from .errors import FrameLabError, GridMismatchError, NotInSpanError, ReconstructionError
 from .pointset import PointSet
+from .records import Record
 
 __all__ = [
     "SynthesisSystem",
@@ -44,7 +45,11 @@ __all__ = [
     "measure_bounds",
     "reconstruct",
     "write_spectrum_csv",
+    "RANK_TOL",
 ]
+
+# eigenvalues at or below this share of the largest fall outside the rank
+RANK_TOL = 1e-8
 
 # dense Hermitian eigensolves stay reliable and fast up to this order;
 # beyond it only the smaller of S and G is diagonalized
@@ -202,25 +207,16 @@ def frame_operator_apply(sys: SynthesisSystem, f: SampledFunction) -> SampledFun
 
 
 @dataclass(frozen=True)
-class FrameFlags:
+class FrameFlags(Record):
     bessel: bool
     frame_for_whole_space: bool
     frame_sequence: bool
     riesz_sequence: bool
     tight: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "bessel": self.bessel,
-            "frame_for_whole_space": self.frame_for_whole_space,
-            "frame_sequence": self.frame_sequence,
-            "riesz_sequence": self.riesz_sequence,
-            "tight": self.tight,
-        }
-
 
 @dataclass(frozen=True)
-class FrameReport:
+class FrameReport(Record):
     """Measured spectral bounds of a synthesis system on its grid.
 
     ``lower`` is the smallest eigenvalue retained above rank_tol * upper, so
@@ -241,19 +237,9 @@ class FrameReport:
     spectra_cross_checked: bool = False
 
     def to_dict(self) -> dict:
-        out = {
-            "lower": self.lower,
-            "upper": self.upper,
-            "rank": self.rank,
-            "dim_space": self.dim_space,
-            "n_members": self.n_members,
-            "rank_tol": self.rank_tol,
-            "flags": self.flags.to_dict(),
-            "resolution": self.resolution,
-            "spectra_cross_checked": self.spectra_cross_checked,
-        }
-        if self.gram_extremes is not None:
-            out["gram_extremes"] = list(self.gram_extremes)
+        out = super().to_dict()
+        if self.gram_extremes is None:
+            del out["gram_extremes"]
         return out
 
 
@@ -266,7 +252,8 @@ def _grid_resolution(grid: Grid) -> dict:
     }
 
 
-def measure_bounds(sys: SynthesisSystem, rank_tol: float = 1e-8, bessel_bound=None) -> FrameReport:
+def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
+                   bessel_bound=None) -> FrameReport:
     """Frame bounds and status flags from the weighted spectra.
 
     Computes the spectrum of S = U U^H (formed by ``_frame_operator``) and of

@@ -23,8 +23,9 @@ import numpy as np
 
 from .domain import Domain, Grid, SampledFunction, extend_grid, make_grid
 from .errors import FrameLabError, HypothesisError
-from .framecore import FrameReport, SynthesisSystem, exponential_system, measure_bounds
+from .framecore import RANK_TOL, FrameReport, SynthesisSystem, exponential_system, measure_bounds
 from .pointset import PointSet
+from .records import Record, jsonable
 
 if TYPE_CHECKING:
     from .translates import Generator
@@ -45,13 +46,13 @@ __all__ = [
     "check_converse",
     "check_frame_sequence_multiplication",
     "refine_check",
+    "require_members",
     "ZERO_TOL",
     "ENVELOPE_SLACK",
     "STABILITY",
     "AMBIENT_PAD_CELLS",
+    "DEFAULT_LEVELS",
 ]
-
-_DEFAULT_LEVELS = (64, 128, 256)
 
 # The fixed values every check runs on; reports carry the first and third
 # (``multiplier.zero_tol``, ``trace.stability``).
@@ -59,6 +60,7 @@ ZERO_TOL = 1e-12  # node magnitudes at or below this share of the largest count 
 ENVELOPE_SLACK = 1e-9  # measured bounds may overshoot an envelope by this share of its top
 STABILITY = 0.05  # a trace is stable when its last value keeps this share of its peak
 AMBIENT_PAD_CELLS = 8  # zero cells padded on each side in the frame-sequence ambient check
+DEFAULT_LEVELS = (64, 128, 256)  # nodes per unit length of a sweep's grids, coarse to fine
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,28 +162,8 @@ def within_envelope(envelope: tuple, bounds: tuple) -> bool:
     return bounds[0] >= lo - tol - 1e-300 and bounds[1] <= hi + tol
 
 
-def jsonable(obj):
-    """Recursively coerce report values into strict-JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
-    return obj
-
-
 @dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(Record):
     """Multiplier extrema across grid refinements of one domain.
 
     ``samples`` holds the multiplier sampled on each level's grid, so sweeps
@@ -198,20 +180,8 @@ class RefinementTrace:
     stability: float
     samples: tuple = field(default=(), repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "ess_inf": list(self.ess_inf),
-            "ess_sup": list(self.ess_sup),
-            "ess_inf_support": list(self.ess_inf_support),
-            "bounded_below": self.bounded_below,
-            "bounded_below_on_support": self.bounded_below_on_support,
-            "sup_stable": self.sup_stable,
-            "stability": self.stability,
-        }
 
-
-def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS) -> RefinementTrace:
+def profile_refinement(dom: Domain, phi_fn, levels=DEFAULT_LEVELS) -> RefinementTrace:
     """Sample a callable multiplier on successively finer grids and certify
     whether its magnitude stays bounded below (and its supremum stable)."""
     levels = refinement_levels(levels)
@@ -236,7 +206,7 @@ def profile_refinement(dom: Domain, phi_fn, levels=_DEFAULT_LEVELS) -> Refinemen
 
 
 @dataclass(frozen=True)
-class MultCheckReport:
+class MultCheckReport(Record):
     """Predicted versus measured status of a multiplied system.
 
     ``envelope`` is [base_lower * ess_inf^2, base_upper * ess_sup^2] (or the
@@ -256,27 +226,15 @@ class MultCheckReport:
     consistent: bool
     details: dict
 
+    _keys = {"profile": "multiplier", "base_report": "base", "mult_report": "multiplied"}
+
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "multiplier": {
-                "ess_inf": self.profile.ess_inf,
-                "ess_sup": self.profile.ess_sup,
-                "zero_measure_fraction": self.profile.zero_measure_fraction,
-                "zero_tol": self.profile.zero_tol,
-                "support": None
-                if self.profile.support_domain is None
-                else self.profile.support_domain.to_dict(),
-            },
-            "base": self.base_report.to_dict(),
-            "multiplied": self.mult_report.to_dict(),
-            "predicted": dict(self.predicted),
-            "measured": dict(self.measured),
-            "envelope": None if self.envelope is None else list(self.envelope),
-            "envelope_holds": self.envelope_holds,
-            "consistent": self.consistent,
-            "details": jsonable(self.details),
-        }
+        # five of the profile's values; its sampled multiplier and mask stay out
+        p = self.profile
+        multiplier = {"ess_inf": p.ess_inf, "ess_sup": p.ess_sup, "zero_tol": p.zero_tol,
+                      "zero_measure_fraction": p.zero_measure_fraction,
+                      "support": p.support_domain}
+        return {**super().to_dict(), "multiplier": jsonable(multiplier)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +418,8 @@ class _Kind:
     measure and bracket.  A sweep traces ``metric`` per level, takes its
     prediction from ``predict(trace, reports)``, its measurement from
     ``trend(metric, reports)`` and requires ``level_ok`` of every
-    level report.
+    level report.  ``spans``: the hypothesis demands a frame of the whole
+    space, checked against the member count before anything is measured.
     """
 
     prepare: Callable
@@ -472,6 +431,15 @@ class _Kind:
     predict: Callable | None = None
     trend: Callable = lambda metric, reports: trend_is_stable(metric)
     level_ok: Callable = lambda r: r.envelope_holds
+    spans: bool = False
+
+
+def require_members(sys: SynthesisSystem, violation: str) -> None:
+    """Fail a frame-of-the-whole-space hypothesis before any eigensolve when
+    the system has fewer members than nodes (K vectors cannot span n)."""
+    if sys.size < sys.grid.size:
+        raise HypothesisError(f"hypothesis violated: {violation} ({sys.size} members "
+                              f"cannot span {sys.grid.size} nodes)")
 
 
 _NOT_A_FRAME = "base system is not a frame of the whole space"
@@ -483,13 +451,13 @@ def _is_frame(p: _Prepared) -> bool:
 
 _KINDS = {
     "frame": _Kind(
-        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame,
+        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame, spans=True,
         metric=lambda r: r.mult_report.lower,
         predict=lambda trace, reports: trace.bounded_below,
     ),
     "tight": _Kind(
         _prepare, lambda p: p.base_report.flags.tight and _is_frame(p),
-        "base system is not a tight frame", _judge_tight,
+        "base system is not a tight frame", _judge_tight, spans=True,
         metric=lambda r: r.mult_report.upper - r.mult_report.lower,
         predict=lambda trace, reports: reports[0].predicted["tight"],
         trend=lambda metric, reports: all(r.measured["tight"] for r in reports),
@@ -510,17 +478,17 @@ _KINDS = {
         level_ok=lambda r: r.consistent,
     ),
     "frame_sequence": _Kind(
-        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame_sequence,
+        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame_sequence, spans=True,
         metric=lambda r: r.mult_report.lower,
         predict=lambda trace, reports: trace.bounded_below_on_support,
     ),
     "converse": _Kind(
         _prepare_converse, lambda p: p.mult_report.flags.frame_for_whole_space,
-        "multiplied system is not a frame", _judge_converse, traced=False,
+        "multiplied system is not a frame", _judge_converse, traced=False, spans=True,
     ),
     "translates": _Kind(
         _prepare, _is_frame, "the exponential system is not a frame of the sampled band",
-        _judge_translates,
+        _judge_translates, spans=True,
     ),
 }
 
@@ -528,6 +496,8 @@ _KINDS = {
 def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
                trace: RefinementTrace | None, **options) -> MultCheckReport:
     kind = _KINDS[check]
+    if kind.spans:
+        require_members(sys, kind.violation)
     prepared = kind.prepare(sys, phi, rank_tol)
     if kind.hypothesis is not None and not kind.hypothesis(prepared):
         raise HypothesisError(f"hypothesis violated: {kind.violation}")
@@ -551,7 +521,7 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
 
 
 def check_frame_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                               rank_tol: float = 1e-8,
+                               rank_tol: float = RANK_TOL,
                                trace: RefinementTrace | None = None) -> MultCheckReport:
     """Does {phi psi_k} remain a frame of the whole sampled space?
 
@@ -564,7 +534,7 @@ def check_frame_multiplication(sys: SynthesisSystem, phi: SampledFunction,
 
 
 def check_tight_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                               rank_tol: float = 1e-8,
+                               rank_tol: float = RANK_TOL,
                                trace: RefinementTrace | None = None) -> MultCheckReport:
     """Does a tight base stay tight?  Only constant-magnitude multipliers keep
     the spread at zero."""
@@ -572,14 +542,14 @@ def check_tight_multiplication(sys: SynthesisSystem, phi: SampledFunction,
 
 
 def check_riesz_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                               rank_tol: float = 1e-8,
+                               rank_tol: float = RANK_TOL,
                                trace: RefinementTrace | None = None) -> MultCheckReport:
     """Does a Riesz basis stay a Riesz basis?  Measured on the Gram spectrum."""
     return _run_check("riesz", sys, phi, rank_tol, trace)
 
 
 def check_bessel_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                                rank_tol: float = 1e-8,
+                                rank_tol: float = RANK_TOL,
                                 trace: RefinementTrace | None = None) -> MultCheckReport:
     """Upper-bound control: the multiplied upper bound sits below
     base_upper * ess_sup^2.  A growing supremum trace flags an unbounded
@@ -588,7 +558,7 @@ def check_bessel_multiplication(sys: SynthesisSystem, phi: SampledFunction,
 
 
 def check_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
-                   rank_tol: float = 1e-8) -> MultCheckReport:
+                   rank_tol: float = RANK_TOL) -> MultCheckReport:
     """Given {phi psi_k} measured as a frame and a multiplier bounded away
     from zero, recover the base system by dividing and check its bounds land
     in [alpha / ess_sup^2, beta / ess_inf^2]."""
@@ -596,7 +566,7 @@ def check_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
 
 
 def check_frame_sequence_multiplication(sys: SynthesisSystem, phi: SampledFunction,
-                                        rank_tol: float = 1e-8,
+                                        rank_tol: float = RANK_TOL,
                                         trace: RefinementTrace | None = None) -> MultCheckReport:
     """A multiplier supported on part of the domain yields a frame for the
     subspace of functions living on that support.
@@ -609,7 +579,7 @@ def check_frame_sequence_multiplication(sys: SynthesisSystem, phi: SampledFuncti
     return _run_check("frame_sequence", sys, phi, rank_tol, trace)
 
 
-def classify_translates(gen: Generator, ps: PointSet, rank_tol: float = 1e-8,
+def classify_translates(gen: Generator, ps: PointSet, rank_tol: float = RANK_TOL,
                         trace: RefinementTrace | None = None) -> MultCheckReport:
     """Frame status of the translate system, via the multiplier dictionary.
 
@@ -632,7 +602,7 @@ _CHECKS = {
 
 
 @dataclass(frozen=True)
-class MultSweepReport:
+class MultSweepReport(Record):
     """Refinement-certified multiplier check.
 
     Per-level reports plus the certified verdict: the prediction comes from
@@ -649,21 +619,9 @@ class MultSweepReport:
     measured_flag: bool
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "levels": list(self.levels),
-            "trace": self.trace.to_dict(),
-            "metric_trend": list(self.metric_trend),
-            "predicted_flag": self.predicted_flag,
-            "measured_flag": self.measured_flag,
-            "consistent": self.consistent,
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
 
 def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
-                 levels=_DEFAULT_LEVELS, rank_tol: float = 1e-8) -> MultSweepReport:
+                 levels=DEFAULT_LEVELS, rank_tol: float = RANK_TOL) -> MultSweepReport:
     """Run one multiplier check across grid refinements and certify the trend.
 
     ``system_factory(grid)`` builds the base system at each level;

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameLabError, input_file
+from .records import Record
 
 __all__ = [
     "PointSet",
@@ -241,7 +242,7 @@ def gap_details(ps: PointSet) -> dict:
 
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Window-count densities at finitely many radii.
 
     nu_minus/nu_plus are the exact min/max closed-window counts over all
@@ -269,17 +270,9 @@ class DensityReport:
                 raise ValueError("nu_minus must not exceed nu_plus")
 
     def to_dict(self) -> dict:
-        out = {
-            "dim": self.dim,
-            "r_values": list(self.r_values),
-            "nu_minus": list(self.nu_minus),
-            "nu_plus": list(self.nu_plus),
-            "d_minus": list(self.d_minus),
-            "d_plus": list(self.d_plus),
-            "extrapolated": self.extrapolated,
-        }
-        if self.scan_spacing is not None:
-            out["scan_spacing"] = self.scan_spacing
+        out = super().to_dict()
+        if self.scan_spacing is None:
+            del out["scan_spacing"]
         return out
 
 
@@ -391,7 +384,7 @@ def beurling_density(ps: PointSet, r_values) -> DensityReport:
 
 
 @dataclass(frozen=True)
-class Beurling1DPrediction:
+class Beurling1DPrediction(Record):
     """Sufficient-density verdict for exponential systems on [-a/2, a/2]."""
 
     predicted_frame: bool
@@ -402,7 +395,7 @@ class Beurling1DPrediction:
 
 
 @dataclass(frozen=True)
-class BallPrediction:
+class BallPrediction(Record):
     """Small-gap verdict for exponential systems on a ball of radius r_ball."""
 
     predicted_frame: bool

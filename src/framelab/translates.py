@@ -21,6 +21,7 @@ from .domain import Domain, Grid, SampledFunction, dilate
 from .domain import make_grid
 from .errors import FrameLabError, HypothesisError, input_file
 from .framecore import (
+    RANK_TOL,
     FrameReport,
     SynthesisSystem,
     analyze,
@@ -29,18 +30,20 @@ from .framecore import (
     reconstruct,
 )
 from .multiplication import (
+    DEFAULT_LEVELS,
     ENVELOPE_SLACK,
     RefinementTrace,
     classify_translates,
-    jsonable,
     multiply_system,
     profile_multiplier,
     profile_refinement,
     refinement_levels,
+    require_members,
     trend_is_stable,
     within_envelope,
 )
 from .pointset import PointSet
+from .records import Record
 
 __all__ = [
     "Generator",
@@ -107,17 +110,18 @@ def load_generator_csv(path, grid: Grid, label: str = "h") -> Generator:
     A row that is short, non-numeric or non-finite is a ConfigError naming the
     file and the row.
     """
+    with input_file(path, "spectrum"), open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     omegas, vals = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for n, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().lower() == "omega":
-                continue
-            with input_file(path, f"spectrum row {n}"):
-                omega, real, imag = (float(v) for v in row[:3])
-                if not all(map(math.isfinite, (omega, real, imag))):
-                    raise ValueError("non-finite value")
-            omegas.append(omega)
-            vals.append(complex(real, imag))
+    for n, row in enumerate(rows, start=1):
+        if not row or row[0].strip().lower() == "omega":
+            continue
+        with input_file(path, f"spectrum row {n}"):
+            omega, real, imag = (float(v) for v in row[:3])
+            if not all(map(math.isfinite, (omega, real, imag))):
+                raise ValueError("non-finite value")
+        omegas.append(omega)
+        vals.append(complex(real, imag))
     omegas = np.asarray(omegas)
     if omegas.size != grid.size or not np.allclose(omegas, grid.nodes, rtol=0, atol=1e-9):
         raise FrameLabError("generator nodes do not match the analysis grid")
@@ -147,8 +151,8 @@ class BumpSpec:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
     @property
     def dilated(self) -> Domain:
@@ -214,7 +218,7 @@ def translate_system(gen: Generator, ps: PointSet, freq_grid: Grid) -> Synthesis
 
 
 @dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Lower-bound trend of a translate system across grid refinements.
 
     The node lattice is re-matched to the grid dimension at every level, so a
@@ -232,17 +236,6 @@ class ObstructionReport:
     measured_obstruction: bool
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "lower_bounds": list(self.lower_bounds),
-            "ratios": list(self.ratios),
-            "hat_trace": self.hat_trace.to_dict(),
-            "predicted_obstruction": self.predicted_obstruction,
-            "measured_obstruction": self.measured_obstruction,
-            "consistent": self.consistent,
-        }
-
 
 def matched_lattice(grid: Grid) -> PointSet:
     """Frequency lattice of spacing 1/measure sized to the grid dimension.
@@ -257,8 +250,8 @@ def matched_lattice(grid: Grid) -> PointSet:
     return PointSet.from_1d(lam, box=(lam[0] - 0.5 / m, lam[-1] + 0.5 / m))
 
 
-def obstruction_trend(dom: Domain, hat_fn, levels=(64, 128, 256),
-                      rank_tol: float = 1e-8, lattice_for=None) -> ObstructionReport:
+def obstruction_trend(dom: Domain, hat_fn, levels=DEFAULT_LEVELS,
+                      rank_tol: float = RANK_TOL, lattice_for=None) -> ObstructionReport:
     """Measure the translate-system lower bound across refinements.
 
     ``hat_fn(nodes)`` samples the generator spectrum at each level;
@@ -321,7 +314,7 @@ class ExpansionResult:
 
 def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
                           band: Domain, tol: float = 1e-10, max_iter: int = 2000,
-                          rank_tol: float = 1e-8) -> ExpansionResult:
+                          rank_tol: float = RANK_TOL) -> ExpansionResult:
     """Expand a function bandlimited to ``band`` over translates of a plateau
     generator along an oversampled point set.
 
@@ -335,7 +328,7 @@ def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
 
 def oversampled_expansions(f_hats, gen: Generator, ps: PointSet, band: Domain,
                            tol: float = 1e-10, max_iter: int = 2000,
-                           rank_tol: float = 1e-8) -> list:
+                           rank_tol: float = RANK_TOL) -> list:
     """``oversampled_expansion`` of every target in ``f_hats``, in order.
 
     The targets share one exponential system, one measurement of its bounds
@@ -360,11 +353,11 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
             raise FrameLabError("target spectrum leaks outside the inner band")
 
     exp = exponential_system(grid, ps)
+    violation = "the oversampled exponential system is not a frame"
+    require_members(exp, violation)
     exp_report = measure_bounds(exp, rank_tol)
     if not exp_report.flags.frame_for_whole_space:
-        raise HypothesisError(
-            "hypothesis violated: the oversampled exponential system is not a frame"
-        )
+        raise HypothesisError(f"hypothesis violated: {violation}")
     results = []
     for f_hat in f_hats:
         rec = reconstruct(exp, f_hat, tol=tol, max_iter=max_iter)
@@ -402,7 +395,7 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
 
 
 @dataclass(frozen=True)
-class OuterFrameReport:
+class OuterFrameReport(Record):
     """Bounds of the translate system projected onto the inner band.
 
     For a plateau generator (identically one on the band) the projected
@@ -416,18 +409,12 @@ class OuterFrameReport:
     max_bound_dev: float
     bounds_equal: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "projected": self.projected_report.to_dict(),
-            "reference": self.reference_report.to_dict(),
-            "unprojected": self.full_report.to_dict(),
-            "max_bound_dev": self.max_bound_dev,
-            "bounds_equal": self.bounds_equal,
-        }
+    _keys = {"projected_report": "projected", "reference_report": "reference",
+             "full_report": "unprojected"}
 
 
 def outer_frame_check(gen: Generator, ps: PointSet, band: Domain,
-                      rank_tol: float = 1e-8, tol: float = 1e-10,
+                      rank_tol: float = RANK_TOL, tol: float = 1e-10,
                       require_unit: bool = True) -> OuterFrameReport:
     """Project the translate system onto the inner band and compare with the
     band-restricted exponentials."""
@@ -462,7 +449,7 @@ def outer_frame_check(gen: Generator, ps: PointSet, band: Domain,
 
 
 @dataclass(frozen=True)
-class ConvolutionReport:
+class ConvolutionReport(Record):
     """Envelope checks for the translate system of a convolution.
 
     The convolution's spectrum is the pointwise product of the factor
@@ -480,25 +467,14 @@ class ConvolutionReport:
     consistent: bool
     details: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "exponential": self.exp_report.to_dict(),
-            "product": None if self.product_report is None else self.product_report.to_dict(),
-            "envelope": None if self.envelope is None else list(self.envelope),
-            "measured": None if self.measured is None else list(self.measured),
-            "quotient_range": None if self.quotient_range is None else list(self.quotient_range),
-            "within": self.within,
-            "consistent": self.consistent,
-            "details": jsonable(self.details),
-        }
+    _keys = {"exp_report": "exponential", "product_report": "product"}
 
 
 _CONV_MODES = ("bessel", "frame", "frame_sequence", "quotient", "bessel_quotient")
 
 
 def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
-                              mode: str, rank_tol: float = 1e-8,
+                              mode: str, rank_tol: float = RANK_TOL,
                               floor: float | None = None) -> ConvolutionReport:
     """Check one closure direction for the convolution of two generators.
 
@@ -518,6 +494,9 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
     product_hat = SampledFunction(grid, gen_f.hat.values * gen_g.hat.values)
     prof_p = profile_multiplier(grid, product_hat)
     exp = exponential_system(grid, ps)
+    violation = "exponentials are not a frame of the band"
+    if mode == "frame":
+        require_members(exp, violation)
     exp_report = measure_bounds(exp, rank_tol)
     m, M = exp_report.lower, exp_report.upper
     details: dict = {
@@ -532,7 +511,7 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         within = ok = product_report.upper <= envelope[1] * (1 + ENVELOPE_SLACK) + 1e-300
     elif mode == "frame":
         if not exp_report.flags.frame_for_whole_space:
-            raise HypothesisError("hypothesis violated: exponentials are not a frame of the band")
+            raise HypothesisError(f"hypothesis violated: {violation}")
         if not (prof_f.bounded_below_on_grid and prof_g.bounded_below_on_grid):
             raise HypothesisError("hypothesis violated: a factor is not bounded below on the band")
         product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
@@ -618,7 +597,7 @@ class UnionSpec:
 
 
 @dataclass(frozen=True)
-class UnionReport:
+class UnionReport(Record):
     """Stacked translate system over a union of bands.
 
     p_hat/P_hat are the grid extrema of sum_j |hhat_j|^2 over the union;
@@ -637,22 +616,10 @@ class UnionReport:
     within: bool
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total_report.to_dict(),
-            "part_bounds": [list(b) for b in self.part_bounds],
-            "part_ranks": list(self.part_ranks),
-            "p_hat": self.p_hat,
-            "P_hat": self.P_hat,
-            "m": self.m,
-            "M": self.M,
-            "envelope": list(self.envelope),
-            "within": self.within,
-            "consistent": self.consistent,
-        }
+    _keys = {"total_report": "total"}
 
 
-def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8) -> UnionReport:
+def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = RANK_TOL) -> UnionReport:
     """Measure the stacked system {e_lambda chi_j hhat_j} on the union grid."""
     union_dom = Domain.merged(
         iv for part in spec.parts for iv in part.domain.intervals
@@ -705,7 +672,7 @@ def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = 1e-8) -> Uni
 
 
 @dataclass(frozen=True)
-class UnionSweepReport:
+class UnionSweepReport(Record):
     levels: tuple
     reports: tuple
     p_hats: tuple
@@ -714,19 +681,9 @@ class UnionSweepReport:
     measured_frame: bool
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "p_hats": list(self.p_hats),
-            "lowers": list(self.lowers),
-            "predicted_frame": self.predicted_frame,
-            "measured_frame": self.measured_frame,
-            "consistent": self.consistent,
-            "reports": [r.to_dict() for r in self.reports],
-        }
 
-
-def union_sweep(spec: UnionSpec, levels=(64, 128, 256), rank_tol: float = 1e-8) -> UnionSweepReport:
+def union_sweep(spec: UnionSpec, levels=DEFAULT_LEVELS,
+                rank_tol: float = RANK_TOL) -> UnionSweepReport:
     """Union check across refinements: a common zero of every generator drives
     p_hat, and with it the stacked lower bound, to zero."""
     levels = refinement_levels(levels)

@@ -782,3 +782,75 @@ def test_finite_config_of_the_non_finite_cases_runs(workdir):
     for make in (_dft_frame_bounds, _reconstruct):
         cfg_path = write_json(workdir / "cfg.json", make(workdir))
         assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("rows", ["0.5\n", "0.5,0.5\n0.7,0.5\n"])
+def test_density_on_a_box_with_a_zero_width_side(workdir, capsys, rows):
+    """Default radii would be 0: exit 2 naming the file; explicit radii exceed the box: exit 3."""
+    (workdir / "flat.csv").write_text(rows)
+    inputs = {"pointset": str(workdir / "flat.csv")}
+    cfg_path = write_json(workdir / "cfg.json", {"command": "density", "inputs": inputs})
+    assert main(["--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "flat.csv: bad point set" in err and "zero-width" in err
+    assert "Traceback" not in err
+    cfg_path = write_json(
+        workdir / "cfg.json", {"command": "density", "inputs": {**inputs, "r_values": [0.1]}}
+    )
+    assert main(["--config", cfg_path]) == 3
+    assert "window exceeds analysis box" in capsys.readouterr().err
+
+
+def _bump_nan_delta(workdir):
+    (workdir / "bump.json").write_text('{"intervals": [[0, 1]], "delta": NaN}')
+    return "bump.json", {"command": "build-generator",
+                         "inputs": {"bump": str(workdir / "bump.json"), "csv_out": "g.csv"}}
+
+
+def _spectrum_undecodable(workdir):
+    (workdir / "spec.csv").write_bytes(b"\xff\xfe0,1,0\n")
+    write_points(workdir / "pts.csv", np.arange(-16, 16))
+    return "spec.csv", {"command": "mult-check", "inputs": {
+        "domain": write_json(workdir / "dom.json", {"intervals": E_INTERVALS}),
+        "pointset": str(workdir / "pts.csv"), "multiplier": {"csv": str(workdir / "spec.csv")}}}
+
+
+def _pointset_field_too_long(workdir):
+    (workdir / "pts.csv").write_text("1" * 140_000 + "\n")
+    return "pts.csv", {"command": "gap", "inputs": {"pointset": str(workdir / "pts.csv")}}
+
+
+def _domain_integer_too_large(workdir):
+    (workdir / "dom.json").write_text('{"intervals": [[0, 1%s]]}' % ("0" * 400))
+    write_points(workdir / "pts.csv", np.arange(-16, 16))
+    return "dom.json", {"command": "frame-bounds", "inputs": {
+        "domain": str(workdir / "dom.json"), "pointset": str(workdir / "pts.csv")}}
+
+
+def _config_integer_too_large(workdir):
+    write_points(workdir / "pts.csv", np.arange(-16, 16))
+    (workdir / "cfg.json").write_text(
+        '{"command": "reconstruct", "inputs": {"band": "%s", "pointset": "%s", "delta": 1%s}}'
+        % (write_json(workdir / "dom.json", {"intervals": E_INTERVALS}),
+           workdir / "pts.csv", "0" * 400)
+    )
+    return "cfg.json", None
+
+
+def _interval_predicate_of_planar_set(workdir):
+    (workdir / "plane.csv").write_text("0,0\n1,0\n0,1\n1,1\n")
+    return "plane.csv", {"command": "density", "inputs": {
+        "pointset": str(workdir / "plane.csv"), "a": 1.0, "r": 0.25}}
+
+
+@pytest.mark.parametrize("make", [
+    _bump_nan_delta, _spectrum_undecodable, _pointset_field_too_long,
+    _domain_integer_too_large, _config_integer_too_large, _interval_predicate_of_planar_set,
+])
+def test_fuzzed_input_escapes_are_exit_2(workdir, capsys, make):
+    """Inputs the CLI fuzz test found escaping as tracebacks with exit 1."""
+    named, config = make(workdir)
+    cfg_path = str(workdir / "cfg.json") if config is None else write_json(workdir / "cfg.json", config)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framelab.multiplication
+import framelab.translates
 from framelab.domain import Domain, SampledFunction, indicator, make_grid
 from framelab.errors import FrameLabError, HypothesisError
 from framelab.framecore import exponential_system, gram, measure_bounds
@@ -22,6 +24,12 @@ from framelab.multiplication import (
     trend_is_stable,
 )
 from framelab.pointset import PointSet
+from framelab.translates import (
+    Generator,
+    classify_translates,
+    convolution_closure_check,
+    oversampled_expansion,
+)
 from support import dft_base
 
 E = Domain([(-0.5, 0.5)])
@@ -368,3 +376,42 @@ def test_reports_are_json_serializable():
     json.dumps(rep.to_dict())
     sweep = refine_check(E, dft_base, two_plus_sine, check="frame", levels=(32, 64))
     json.dumps(sweep.to_dict())
+
+
+# --- member count against node count ------------------------------------------
+
+
+def _few_members():
+    """Three exponentials on a 32-node grid: K < n, so never a frame of the space."""
+    g = make_grid(E, 32)
+    ps = PointSet.from_1d([0.0, 1.0, 2.0])
+    return g, ps, SampledFunction(g, 2.0 + np.sin(2 * np.pi * g.nodes))
+
+
+def _run_with_few_members(case):
+    g, ps, phi = _few_members()
+    sys = exponential_system(g, ps)
+    if case == "converse":
+        return check_converse(multiply_system(sys, phi), phi)
+    if case == "translates":
+        return classify_translates(Generator(phi), ps)
+    if case == "expansion":
+        return oversampled_expansion(phi, Generator(SampledFunction(g, np.ones(g.size))), ps, E)
+    if case == "convolution":
+        return convolution_closure_check(Generator(phi), Generator(phi), ps, "frame")
+    checks = {"frame": check_frame_multiplication, "tight": check_tight_multiplication,
+              "frame_sequence": check_frame_sequence_multiplication}
+    return checks[case](sys, phi)
+
+
+@pytest.mark.parametrize("case", ["frame", "tight", "frame_sequence", "converse", "translates",
+                                  "expansion", "convolution"])
+def test_fewer_members_than_nodes_fail_before_any_eigensolve(monkeypatch, case):
+    calls = []
+    for module in (framelab.multiplication, framelab.translates):
+        monkeypatch.setattr(module, "measure_bounds",
+                            lambda *a, **k: calls.append(1) or measure_bounds(*a, **k))
+    with pytest.raises(HypothesisError, match="not a (tight )?frame") as info:
+        _run_with_few_members(case)
+    assert "3 members cannot span 32 nodes" in str(info.value)
+    assert calls == []
