@@ -381,6 +381,14 @@ def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
 # command handlers: each returns (results dict, passed, plot (header, rows)|None)
 
 
+def _separation(ps: PointSet, path: str) -> float:
+    """separation(ps); a set too small to have one is a ConfigError naming the file."""
+    if ps.size < 2:
+        raise ConfigError(f"{path}: bad point set (separation needs at least two points, "
+                          f"got {ps.size})")
+    return separation(ps)
+
+
 def _cmd_density(cfg: RunConfig):
     path = cfg.inputs["pointset"]
     ps = load_pointset(path)
@@ -393,7 +401,7 @@ def _cmd_density(cfg: RunConfig):
                               "so no density window fits)")
         r_values = [r_star / 4.0, r_star / 2.0, r_star]
     report = beurling_density(ps, r_values)
-    results = {"density": report, "separation": separation(ps)}
+    results = {"density": report, "separation": _separation(ps, path)}
     if ("a" in cfg.inputs) != ("r" in cfg.inputs):
         raise ConfigError("inputs: the interval predicate needs both 'a' and 'r'")
     if "a" in cfg.inputs:
@@ -417,10 +425,12 @@ def _cmd_density(cfg: RunConfig):
 
 
 def _cmd_gap(cfg: RunConfig):
-    ps = load_pointset(cfg.inputs["pointset"])
+    path = cfg.inputs["pointset"]
+    ps = load_pointset(path)
+    sep = _separation(ps, path)
     details = gap_details(ps)
-    results = {"separation": separation(ps), "gap": details}
-    rows = [[details["value"], separation(ps)]]
+    results = {"separation": sep, "gap": details}
+    rows = [[details["value"], sep]]
     return results, True, (["gap", "separation"], rows)
 
 

@@ -801,6 +801,20 @@ def test_density_on_a_box_with_a_zero_width_side(workdir, capsys, rows):
     assert "window exceeds analysis box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("gap", "one.csv", "0.5\n"),
+    ("density", "one.json", '{"dim": 1, "box": [[0, 1]], "points": [[0.5]]}'),
+])
+def test_one_point_set_has_no_separation_exit_2(workdir, capsys, command, name, text):
+    (workdir / name).write_text(text)
+    inputs = {"pointset": str(workdir / name)}
+    cfg_path = write_json(workdir / "cfg.json", {"command": command, "inputs": inputs})
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: bad point set" in err and "at least two points" in err
+    assert "Traceback" not in err
+
+
 def _bump_nan_delta(workdir):
     (workdir / "bump.json").write_text('{"intervals": [[0, 1]], "delta": NaN}')
     return "bump.json", {"command": "build-generator",
