@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,34 @@ def test_mult_check_converse(workdir):
     check = read_report(out)["results"]["check"]
     assert check["base"]["lower"] == pytest.approx(1.0, abs=1e-9)
     assert check["base"]["upper"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("frame-bounds", {}),
+    ("mult-check", {"multiplier": {"expr": "2 + sin(t)"}, "check": "frame", "sweep": False}),
+])
+def test_over_budget_system_exits_3_before_forming_members(workdir, capsys, command, inputs):
+    # 4096 nodes and 4096 members: U alone would be 256 MB of complex entries
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    rng = np.random.default_rng(5)
+    pts = write_points(workdir / "pts.csv", np.arange(4096) - 2048 + rng.uniform(-0.2, 0.2, 4096))
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": command,
+            "inputs": {"domain": dom, "pointset": pts, **inputs},
+            "grid": {"n_per_unit": 4096},
+        },
+    )
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg_path, "--out", str(workdir / "report.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeds the dense spectral budget" in capsys.readouterr().err
+    assert peak < 64 * 2**20
 
 
 def test_mult_check_hypothesis_failure_is_exit_3(workdir, capsys):

@@ -1,0 +1,165 @@
+"""Deferred member matrices: an exponential system, and its products with
+multipliers, form U only when something reads ``matrix``, and the Toeplitz
+column of a uniform one-interval grid is built without U by the factored
+product of ``_toeplitz_column``.  A forced matrix is the eager expression
+bit for bit, and the checks report the bounds of a system built from it."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from framelab.domain import Domain, SampledFunction, make_grid
+from framelab.errors import FrameLabError
+from framelab.framecore import (
+    SynthesisSystem,
+    _toeplitz_column,
+    exponential_system,
+    measure_bounds,
+)
+from framelab.multiplication import (
+    check_frame_multiplication,
+    check_frame_sequence_multiplication,
+    check_riesz_multiplication,
+    multiply_system,
+)
+from support import jittered_lattice
+
+
+def formed(sys) -> bool:
+    return "matrix" in vars(sys)
+
+
+def eager(grid, lam):
+    return np.exp(-2j * np.pi * np.outer(grid.nodes, lam))
+
+
+# The reference h U conj(U[0]) rounds each phase 2 pi t lambda to about
+# eps * 2 pi |t| |lambda|, so the intervals stay inside |t| <= 0.7, where that
+# is at most about 1e-12 for |lambda| <= 2000.
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=1100),
+    st.integers(min_value=1, max_value=1300),
+    st.floats(min_value=-0.7, max_value=0.45),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@example(seed=1, n=1, n_members=7, a=0.0, stretch=1.0)
+@example(seed=2, n=1024, n_members=1280, a=0.0, stretch=1.0)
+@example(seed=3, n=1025, n_members=1, a=-0.7, stretch=1.0)
+@example(seed=4, n=1089, n_members=300, a=-0.5, stretch=0.0)
+@example(seed=5, n=1090, n_members=1300, a=0.45, stretch=1.0)
+@example(seed=6, n=2, n_members=2, a=0.1, stretch=0.5)
+def test_toeplitz_column_matches_dense_column(seed, n, n_members, a, stretch):
+    rng = np.random.default_rng(seed)
+    length = 0.25 + stretch * (0.45 - a)
+    h = length / n
+    nodes = a + (np.arange(n) + 0.5) * h
+    lam = rng.uniform(-2000.0, 2000.0, n_members)
+    U = np.exp(-2j * np.pi * np.outer(nodes, lam))
+    dense = h * (U @ U[0].conj())
+    c = _toeplitz_column(h, lam, n)
+    assert c.shape == (n,)
+    assert np.abs(c - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(-0.5, 0.25), (1.0, 1.5)]])
+def test_forced_matrix_is_the_eager_expression(intervals):
+    grid = make_grid(Domain(intervals), 48)
+    ps = jittered_lattice(70, 4)
+    sys = exponential_system(grid, ps)
+    assert not formed(sys) and sys.size == 70 and len(sys) == 70
+    assert sys.labels == tuple(ps.xs)
+    assert np.array_equal(sys.matrix, eager(grid, ps.xs))
+    assert sys.matrix is sys.matrix
+
+    phi = np.exp(1j * grid.nodes) * (2.0 + np.cos(3 * grid.nodes))
+    mult = multiply_system(exponential_system(grid, ps), SampledFunction(grid, phi))
+    assert not formed(mult)
+    assert np.array_equal(mult.matrix, phi[:, None] * eager(grid, ps.xs))
+
+
+def test_deferred_system_keeps_the_member_checks():
+    grid = make_grid(Domain([(0.0, 1.0)]), 16)
+    with pytest.raises(ValueError, match="at least one member"):
+        SynthesisSystem._deferred(grid, [], lambda: eager(grid, []))
+    with pytest.raises(ValueError, match="one label per member"):
+        SynthesisSystem(grid, eager(grid, [0.0, 1.0]), labels=[0.0])
+
+
+def test_frame_check_past_the_gram_budget_forms_no_matrix(monkeypatch):
+    grid = make_grid(Domain([(0.0, 1.0)]), 1024)
+    ps = jittered_lattice(1280, 8)
+    phi = SampledFunction.from_callable(grid, lambda t: 2.0 + np.sin(2 * np.pi * t))
+    products = []
+    original = SynthesisSystem.multiplied
+
+    def recording(self, values):
+        out = original(self, values)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(SynthesisSystem, "multiplied", recording)
+    tracemalloc.start()
+    try:
+        sys = exponential_system(grid, ps)
+        rep = check_frame_multiplication(sys, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.consistent and rep.mult_report.n_members == 1280
+    assert len(products) == 1
+    assert not formed(sys) and not formed(products[0])
+    # U alone would be 1024 x 1280 complex entries, 21 MB
+    assert peak < 32 * 2**20
+
+
+def test_budget_is_checked_before_the_matrix_is_formed():
+    grid = make_grid(Domain([(0.0, 1.0)]), 1100)
+    sys = exponential_system(grid, jittered_lattice(1100, 2))
+    with pytest.raises(FrameLabError, match="dense spectral budget"):
+        measure_bounds(sys)
+    assert not formed(sys)
+
+
+def assert_same_bounds(lazy, dense):
+    assert lazy.rank == dense.rank
+    assert lazy.lower == pytest.approx(dense.lower, rel=1e-9)
+    assert lazy.upper == pytest.approx(dense.upper, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_checks_match_a_system_built_from_the_forced_matrix(seed):
+    grid = make_grid(Domain([(-0.5, 0.5)]), 96)
+    rng = np.random.default_rng(seed)
+    phi = SampledFunction(grid, rng.uniform(0.5, 2.0, grid.size) + 0j)
+    chi = SampledFunction(grid, (grid.nodes < 0.1).astype(complex))
+
+    # Gram path: K <= 1024, so both read the same weighted matrix
+    sys = exponential_system(grid, jittered_lattice(120, seed))
+    dense = SynthesisSystem(grid, sys.matrix, sys.labels)
+    lazy_rep, dense_rep = measure_bounds(sys), measure_bounds(dense)
+    assert_same_bounds(lazy_rep, dense_rep)
+    assert lazy_rep.spectra_cross_checked and dense_rep.spectra_cross_checked
+
+    # frame-sequence path, padding included
+    lazy_fs = check_frame_sequence_multiplication(sys, chi)
+    dense_fs = check_frame_sequence_multiplication(dense, chi)
+    assert_same_bounds(lazy_fs.mult_report, dense_fs.mult_report)
+    assert lazy_fs.details["ambient_bounds"] == pytest.approx(
+        dense_fs.details["ambient_bounds"], rel=1e-9
+    )
+    assert lazy_fs.consistent == dense_fs.consistent
+
+    # Riesz path (a Riesz basis, K = n): the Gram extremes come from
+    # identical matrices
+    riesz = exponential_system(grid, jittered_lattice(grid.size, seed))
+    lazy_r = check_riesz_multiplication(riesz, phi)
+    dense_r = check_riesz_multiplication(SynthesisSystem(grid, riesz.matrix, riesz.labels), phi)
+    assert lazy_r.details["gram_extremes"] == dense_r.details["gram_extremes"]
+    assert lazy_r.base_report.gram_extremes == dense_r.base_report.gram_extremes
+    assert_same_bounds(lazy_r.mult_report, dense_r.mult_report)
+    assert lazy_r.consistent == dense_r.consistent

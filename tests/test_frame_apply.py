@@ -160,3 +160,25 @@ def test_off_span_target_is_not_in_span_on_both_routes():
     for s in (sys, SynthesisSystem(grid, sys.matrix)):
         with pytest.raises(NotInSpanError, match="not in span"):
             reconstruct(s, f, tol=1e-10, max_iter=200)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_mixed_target_is_not_in_span_on_both_routes(eps):
+    """A unit off-span target plus eps times an in-span one: CG stalls on the
+    mixture, and the failure is classified by the off-span share of b."""
+    grid = make_grid(Domain([(0.0, 1.0)]), 64)
+    rng = np.random.default_rng(3)
+    sys = exponential_system(grid, jittered(24, 1.0, rng))
+    q, _ = np.linalg.qr(sys.weighted)
+    off = random_vector(rng, grid.size)
+    off -= q @ (q.conj().T @ off)
+    off /= np.linalg.norm(off)
+    inside = q @ random_vector(rng, sys.size)
+    inside /= np.linalg.norm(inside)
+    b = off + eps * inside
+    f = SampledFunction(grid, b / np.sqrt(grid.weights))
+    share = 1.0 / np.linalg.norm(b)
+    for s in (sys, SynthesisSystem(grid, sys.matrix)):
+        with pytest.raises(NotInSpanError, match="not in span") as err:
+            reconstruct(s, f, tol=1e-10, max_iter=200)
+        assert err.value.residual == pytest.approx(share, rel=1e-9)
