@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import jsonschema
 import numpy as np
 
-from .domain import Domain, SampledFunction, load_domain, make_grid
+from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid
 from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
 from .expr import parse_multiplier
 from .framecore import RANK_TOL, exponential_system, measure_bounds
@@ -57,6 +57,12 @@ from .translates import (
 __all__ = ["RunConfig", "parse_config", "parse_multiplier", "run", "main"]
 
 _CHECK_KINDS = (*_SINGLE_CHECKS, "converse")
+
+# size caps on what a config may ask for, checked before anything is
+# allocated: nodes of any one grid (at ``grid.n_per_unit`` or at any
+# ``grid.refine`` level) and ``inputs.n_targets``
+MAX_GRID_NODES = 16384
+MAX_TARGETS = 64
 
 _MULTIPLIER_INPUT = {
     "type": "object",
@@ -153,7 +159,7 @@ _INPUT_SCHEMAS = {
                     "sep_min": {"type": "number", "exclusiveMinimum": 0},
                 },
             },
-            "n_targets": {"type": "integer", "minimum": 1},
+            "n_targets": {"type": "integer", "minimum": 1, "maximum": MAX_TARGETS},
             "target_csv": {"type": "string"},
             "residual_tol": {"type": "number", "exclusiveMinimum": 0},
         },
@@ -328,7 +334,24 @@ def _atomic_write(path: str, fill) -> None:
         raise
 
 
-def _load_generator(grid, spec: dict, n_per_unit: int):
+def _check_nodes(dom, cfg: RunConfig, sweep: bool = False) -> None:
+    """A ConfigError naming the key when a grid of ``dom`` at ``n_per_unit``
+    (or, for a sweep, at any refinement level) would pass MAX_GRID_NODES."""
+    key, levels = ("grid/refine", cfg.refine) if sweep else ("grid/n_per_unit", [cfg.n_per_unit])
+    for n_per_unit in levels:
+        nodes = grid_size(dom, n_per_unit)
+        if nodes > MAX_GRID_NODES:
+            raise ConfigError(f"{key}: {n_per_unit} nodes per unit length make a grid of "
+                              f"{nodes} nodes, above the cap of {MAX_GRID_NODES}")
+
+
+def _grid(cfg: RunConfig, dom):
+    """The run's grid on ``dom``, once its size passes the cap."""
+    _check_nodes(dom, cfg)
+    return make_grid(dom, cfg.n_per_unit)
+
+
+def _load_generator(grid, spec: dict, cfg: RunConfig):
     """Spectrum input {expr}|{csv}|{bump} -> (Generator, resample_fn|None).
 
     A bump spec overrides the grid: the generator lives on its dilated band.
@@ -338,7 +361,7 @@ def _load_generator(grid, spec: dict, n_per_unit: int):
         return Generator(mult.sample(grid), label="expr"), mult
     if "csv" in spec:
         return load_generator_csv(spec["csv"], grid), None
-    return _bump_generator(_load_bump(spec["bump"]), n_per_unit), None
+    return _bump_generator(_load_bump(spec["bump"]), cfg), None
 
 
 def _load_bump(path) -> BumpSpec:
@@ -357,14 +380,15 @@ def _load_frequencies(path) -> PointSet:
     return ps
 
 
-def _bump_generator(spec: BumpSpec, n_per_unit: int) -> Generator:
+def _bump_generator(spec: BumpSpec, cfg: RunConfig) -> Generator:
     """The bump generator sampled on a grid over its dilated band."""
-    return build_bump_generator(spec, make_grid(spec.dilated, n_per_unit))
+    return build_bump_generator(spec, _grid(cfg, spec.dilated))
 
 
 def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
     """Refinement sweep of one check over the exponential system along ``ps``;
     returns the sweep report and its (level, metric) plot."""
+    _check_nodes(dom, cfg, sweep=True)
     sweep = refine_check(
         dom,
         lambda g: exponential_system(g, ps),
@@ -437,7 +461,7 @@ def _cmd_gap(cfg: RunConfig):
 def _cmd_frame_bounds(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
     ps = _load_frequencies(cfg.inputs["pointset"])
-    grid = make_grid(dom, cfg.n_per_unit)
+    grid = _grid(cfg, dom)
     report = measure_bounds(exponential_system(grid, ps), cfg.rank_tol)
     rows = [[i, float(v)] for i, v in enumerate(report.spectrum)]
     return {"report": report}, True, (["index", "eigenvalue"], rows)
@@ -447,8 +471,8 @@ def _cmd_mult_check(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
     ps = _load_frequencies(cfg.inputs["pointset"])
     check = cfg.inputs.get("check", "frame")
-    grid = make_grid(dom, cfg.n_per_unit)
-    gen, phi_fn = _load_generator(grid, cfg.inputs["multiplier"], cfg.n_per_unit)
+    grid = _grid(cfg, dom)
+    gen, phi_fn = _load_generator(grid, cfg.inputs["multiplier"], cfg)
     phi = gen.hat
     sweep = cfg.inputs.get("sweep", phi_fn is not None)
     if sweep and phi_fn is None:
@@ -467,8 +491,8 @@ def _cmd_mult_check(cfg: RunConfig):
 def _cmd_translate_check(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
     ps = _load_frequencies(cfg.inputs["pointset"])
-    grid = make_grid(dom, cfg.n_per_unit)
-    gen, hat_fn = _load_generator(grid, cfg.inputs["generator"], cfg.n_per_unit)
+    grid = _grid(cfg, dom)
+    gen, hat_fn = _load_generator(grid, cfg.inputs["generator"], cfg)
     sweep = cfg.inputs.get("sweep", False)
     report = classify_translates(gen, ps, rank_tol=cfg.rank_tol)
     results = {"classification": report}
@@ -485,7 +509,7 @@ def _cmd_translate_check(cfg: RunConfig):
 
 def _cmd_build_generator(cfg: RunConfig):
     spec = _load_bump(cfg.inputs["bump"])
-    gen = _bump_generator(spec, cfg.n_per_unit)
+    gen = _bump_generator(spec, cfg)
     grid = gen.grid
     save_generator_csv(gen, cfg.inputs["csv_out"])
     on_base = spec.base_domain.contains(grid.nodes)
@@ -514,7 +538,7 @@ def _cmd_reconstruct(cfg: RunConfig):
     if "densify" in cfg.inputs:
         d = cfg.inputs["densify"]
         ps = densify(ps, d["target_gap"], d["sep_min"])
-    gen = _bump_generator(BumpSpec(band, cfg.inputs["delta"]), cfg.n_per_unit)
+    gen = _bump_generator(BumpSpec(band, cfg.inputs["delta"]), cfg)
     grid = gen.grid
     inside = band.contains(grid.nodes)
 
@@ -563,7 +587,9 @@ def _cmd_union_check(cfg: RunConfig):
             raise ConfigError(f"inputs/parts/{j}/intervals: {exc}") from exc
         parts.append(UnionPart(dom, parse_multiplier(p["expr"]), label=p.get("label", str(j))))
     spec = UnionSpec(parts, ps)
-    if cfg.inputs.get("sweep", False):
+    sweep = cfg.inputs.get("sweep", False)
+    _check_nodes(spec.domain, cfg, sweep)
+    if sweep:
         report = union_sweep(spec, levels=cfg.refine, rank_tol=cfg.rank_tol)
         rows = [
             [lv, p, lo]
@@ -590,6 +616,7 @@ def _cmd_corollary_demo(cfg: RunConfig):
     )
     hat = parse_multiplier(hat_src)
     control = parse_multiplier("1")
+    _check_nodes(dom, cfg, sweep=True)
     hat_report = obstruction_trend(dom, hat, levels=cfg.refine, rank_tol=cfg.rank_tol)
     control_report = obstruction_trend(dom, control, levels=cfg.refine, rank_tol=cfg.rank_tol)
     passed = (

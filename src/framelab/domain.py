@@ -23,6 +23,7 @@ __all__ = [
     "SampledFunction",
     "dilate",
     "make_grid",
+    "grid_size",
     "extend_grid",
     "inner",
     "indicator",
@@ -173,6 +174,20 @@ class Grid:
         return f"Grid({self.domain!r}, {self.size} nodes, n_per_unit={self.n_per_unit})"
 
 
+def _cells(length: float, n_per_unit: int) -> int:
+    # guard against 0.9 * 320 = 288.0000...06 style roundoff in ceil
+    return max(1, math.ceil(length * n_per_unit - 1e-9))
+
+
+def grid_size(dom: Domain, n_per_unit: int) -> float:
+    """Node count of ``make_grid(dom, n_per_unit)``, found without allocating;
+    inf when a cell count passes the float range."""
+    try:
+        return sum(_cells(b - a, n_per_unit) for a, b in dom.intervals)
+    except OverflowError:
+        return math.inf
+
+
 def make_grid(dom: Domain, n_per_unit: int) -> Grid:
     """Midpoint grid with ceil(length * n_per_unit) equal cells per interval.
 
@@ -185,8 +200,7 @@ def make_grid(dom: Domain, n_per_unit: int) -> Grid:
     nodes, weights, index, steps = [], [], [], []
     for i, (a, b) in enumerate(dom.intervals):
         length = b - a
-        # guard against 0.9 * 320 = 288.0000...06 style roundoff in ceil
-        cells = max(1, math.ceil(length * n_per_unit - 1e-9))
+        cells = _cells(length, n_per_unit)
         step = length / cells
         k = np.arange(cells)
         nodes.append(a + (k + 0.5) * step)

@@ -13,8 +13,16 @@ O(n^2 K) product U @ U^H.  With J the reversal matrix, J T J = conj(T), so
 Q = (I + iJ)/sqrt(2) is unitary and Q^H T Q = Re T - Im(T J), a real
 symmetric Toeplitz-minus-Hankel matrix (the *real form*) whose real
 eigensolve replaces the complex one.  A product with a multiplier phi has
-frame operator diag(phi) T diag(conj(phi)), also formed in O(n^2).  Every
-other system (multi-interval grids, raw member matrices) is formed densely.
+frame operator diag(phi) T diag(conj(phi)), also formed in O(n^2).  Write
+diag(phi) = P D with P the unitary diagonal of phases and D = diag(|phi|);
+the product is unitarily similar to D T D.  When |phi| is its own reversal,
+J D J = D, so Q commutes with D and Q^H D T D Q = D (Re T - Im(T J)) D: the
+real form scaled by |phi| on both sides, again a real eigensolve.  A real h
+has a conjugate-symmetric h^, so |h^| is even and on a band centred at 0
+(plateau bumps, hats, translate generators from a real h) takes this route,
+as does any modulus even about the band's centre; a product with an
+asymmetric modulus stays complex.  Every other system (multi-interval grids,
+raw member matrices) is formed densely.
 
 ``reconstruct`` applies the same operator in each conjugate-gradient step
 (``_apply_frame_operator``): T embeds in a 2n circulant with first column
@@ -71,6 +79,10 @@ RANK_TOL = 1e-8
 # dense Hermitian eigensolves stay reliable and fast up to this order;
 # beyond it only the smaller of S and G is diagonalized
 _FULL_SPECTRUM_LIMIT = 1024
+
+# a multiplier modulus within this many ulps of its largest value of its own
+# reversal is solved in the real form (see ``_frame_operator``)
+_MIRROR_ULPS = 8
 
 
 class SynthesisSystem:
@@ -230,8 +242,16 @@ def _real_form(c: np.ndarray) -> np.ndarray:
 
 
 def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
-    """A Hermitian matrix unitarily similar to S = U U^H: the real form of T,
-    diag(phi) T diag(conj(phi)), or the dense product (see the module notes)."""
+    """A Hermitian matrix unitarily similar to S = U U^H (see the module notes).
+
+    Unmultiplied, it is the real form R of T.  A product with phi whose
+    modulus d = |phi| is its own reversal to within ``_MIRROR_ULPS`` ulps of
+    max d gets the real symmetric diag(d) R diag(d), with d symmetrized as
+    (d + d[::-1]) / 2: diag(phi) = P diag(d) for a unitary diagonal P of
+    phases, and Q = (I + iJ)/sqrt(2) commutes with diag(d) when J d = d, so
+    Q^H P^H S P Q = diag(d) Q^H T Q diag(d).  Any other product gets the
+    complex diag(phi) T diag(conj(phi)); other systems the dense product.
+    """
     c = sys._column
     if c is None:
         U = sys.weighted
@@ -239,6 +259,13 @@ def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
     phi = sys._multiplier
     if phi is None:
         return _real_form(c)
+    d = np.abs(phi)
+    mirror = d[::-1]
+    if np.abs(d - mirror).max() <= _MIRROR_ULPS * np.finfo(float).eps * d.max():
+        d = 0.5 * (d + mirror)
+        S = d[:, None] * _real_form(c)
+        S *= d
+        return S
     S = phi[:, None] * _toeplitz(c)
     S *= phi.conj()
     return S

@@ -595,6 +595,11 @@ class UnionSpec:
             raise ValueError("union needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
+    @property
+    def domain(self) -> Domain:
+        """The union of the bands: the domain of the stacked system's grid."""
+        return Domain.merged(iv for part in self.parts for iv in part.domain.intervals)
+
 
 @dataclass(frozen=True)
 class UnionReport(Record):
@@ -621,10 +626,7 @@ class UnionReport(Record):
 
 def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = RANK_TOL) -> UnionReport:
     """Measure the stacked system {e_lambda chi_j hhat_j} on the union grid."""
-    union_dom = Domain.merged(
-        iv for part in spec.parts for iv in part.domain.intervals
-    )
-    grid = make_grid(union_dom, n_per_unit)
+    grid = make_grid(spec.domain, n_per_unit)
     exp = exponential_system(grid, spec.pointset)
     blocks, part_bounds, part_ranks = [], [], []
     sum_sq = np.zeros(grid.size)

@@ -897,3 +897,71 @@ def test_fuzzed_input_escapes_are_exit_2(workdir, capsys, make):
     assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+# --- size caps ----------------------------------------------------------------------
+
+
+def _oversized(workdir, command, grid, **inputs):
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    pts = write_points(workdir / "pts.csv", np.arange(-16, 16) + 0.1)
+    bump = write_json(workdir / "bump.json", {"intervals": [[-0.4, 0.4]], "delta": 0.05})
+    base = {
+        "frame-bounds": {"domain": dom, "pointset": pts},
+        "mult-check": {"domain": dom, "pointset": pts, "multiplier": {"expr": "2 + sin(t)"},
+                       "sweep": True},
+        "build-generator": {"bump": bump, "csv_out": str(workdir / "gen.csv")},
+        "reconstruct": {"band": dom, "delta": 0.05, "pointset": pts},
+        "union-check": {"pointset": pts, "parts": [{"intervals": [[0.0, 1.0]], "expr": "1"}]},
+        "corollary-demo": {"domain": dom},
+    }[command]
+    return write_json(workdir / "cfg.json",
+                      {"command": command, "inputs": {**base, **inputs}, "grid": grid})
+
+
+@pytest.mark.parametrize("command, grid, inputs, key", [
+    ("frame-bounds", {"n_per_unit": 2**20}, {}, "grid/n_per_unit"),
+    ("mult-check", {"refine": [64, 2**20]}, {}, "grid/refine"),
+    ("build-generator", {"n_per_unit": 2**20}, {}, "grid/n_per_unit"),
+    ("union-check", {"n_per_unit": 2**20}, {}, "grid/n_per_unit"),
+    ("union-check", {"refine": [32, 2**20]}, {"sweep": True}, "grid/refine"),
+    ("corollary-demo", {"refine": [64, 2**20]}, {}, "grid/refine"),
+    ("reconstruct", {"n_per_unit": 64}, {"n_targets": 10**6}, "inputs/n_targets"),
+])
+def test_config_past_a_size_cap_exits_2_before_allocating(workdir, capsys, command, grid,
+                                                          inputs, key):
+    cfg_path = _oversized(workdir, command, grid, **inputs)
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg_path, "--out", str(workdir / "report.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert key in capsys.readouterr().err
+    # a grid of 2**20 nodes alone holds 24 MB of nodes, weights and indices
+    assert peak < 4 * 2**20
+
+
+def test_grid_cap_counts_the_domain_measure(workdir, capsys):
+    from framelab.cli import MAX_GRID_NODES
+
+    wide = write_json(workdir / "wide.json", {"intervals": [[0.0, 1e6]]})
+    cfg_path = _oversized(workdir, "frame-bounds", {"n_per_unit": 1}, domain=wide)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    assert f"1000000 nodes, above the cap of {MAX_GRID_NODES}" in capsys.readouterr().err
+    # a refinement level past the float range is an input error too
+    cfg_path = _oversized(workdir, "corollary-demo", {})
+    assert main(["--config", cfg_path, "--refine", "64," + "1" * 400]) == 2
+    assert "grid/refine" in capsys.readouterr().err
+
+
+def test_grid_at_the_cap_runs(workdir):
+    from framelab.cli import MAX_GRID_NODES
+
+    out = str(workdir / "report.json")
+    cfg_path = _oversized(workdir, "frame-bounds", {"n_per_unit": MAX_GRID_NODES})
+    assert main(["--config", cfg_path, "--out", out]) == 0
+    assert read_report(out)["results"]["report"]["dim_space"] == MAX_GRID_NODES
+    cfg_path = _oversized(workdir, "frame-bounds", {"n_per_unit": MAX_GRID_NODES + 1})
+    assert main(["--config", cfg_path, "--out", out]) == 2

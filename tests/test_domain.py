@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab.domain import (
@@ -11,6 +11,7 @@ from framelab.domain import (
     SampledFunction,
     dilate,
     extend_grid,
+    grid_size,
     indicator,
     inner,
     load_domain,
@@ -176,3 +177,18 @@ def test_inner_conjugate_symmetry(seed):
     f = SampledFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
     h = SampledFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
     assert inner(g, f, h) == pytest.approx(np.conj(inner(g, h, f)))
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(0.01, 5.0)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=400),
+)
+def test_grid_size_counts_make_grid_nodes(pieces, n_per_unit):
+    ivs, at = [], None
+    for start, length in sorted(pieces):
+        a = start if at is None else max(start, at + 0.5)
+        ivs.append((a, a + length))
+        at = a + length
+    dom = Domain(ivs)
+    assert grid_size(dom, n_per_unit) == make_grid(dom, n_per_unit).size

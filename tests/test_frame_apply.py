@@ -32,9 +32,16 @@ def random_multiplier(rng, grid):
     return SampledFunction(grid, mod * np.exp(2j * np.pi * rng.uniform(size=grid.size)))
 
 
-def dense_apply(sys, p):
-    U = sys.weighted
-    return U @ U.conj().T @ p
+def centred_dense_apply(grid, lam, phi, p):
+    """U U^H p from members on the grid's nodes shifted to centre on the
+    interval midpoint, t_j - m = (j + 1/2 - n/2) h: a shift of t multiplies each
+    member by a unit constant, so U U^H is unchanged, while the phases
+    2 pi (t - m) lambda stay small enough to round far below 1e-12."""
+    n, h = grid.size, grid.steps[0]
+    U = np.sqrt(h) * np.exp(-2j * np.pi * np.outer((np.arange(n) + 0.5 - n / 2) * h, lam))
+    if phi is not None:
+        U = phi.values[:, None] * U
+    return U @ (U.conj().T @ p)
 
 
 def random_vector(rng, n):
@@ -62,12 +69,13 @@ def test_fft_route_matches_dense_product(seed, a, length, n_nodes, n_members, mu
     nyquist = grid.size / (2.0 * length)
     lam = rng.uniform(-1.5 * nyquist, 1.5 * nyquist, n_members)
     sys = exponential_system(grid, PointSet.from_1d(lam))
+    phi = random_multiplier(rng, grid) if multiply else None
     if multiply:
-        sys = multiply_system(sys, random_multiplier(rng, grid))
+        sys = multiply_system(sys, phi)
     assert sys._column is not None
     for _ in range(3):
         p = random_vector(rng, grid.size)
-        dense = dense_apply(sys, p)
+        dense = centred_dense_apply(grid, lam, phi, p)
         fft = _apply_frame_operator(sys, p)
         assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
 
