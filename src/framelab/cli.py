@@ -24,7 +24,7 @@ import numpy as np
 from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid
 from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
 from .expr import parse_multiplier
-from .framecore import RANK_TOL, exponential_system, measure_bounds
+from .framecore import RANK_TOL, RECON_TOL, exponential_system, measure_bounds
 from .multiplication import _CHECKS as _SINGLE_CHECKS
 from .multiplication import DEFAULT_LEVELS, check_converse, multiply_system, refine_check
 from .multiplication import refinement_levels
@@ -49,7 +49,6 @@ from .translates import (
     load_generator_csv,
     obstruction_trend,
     oversampled_expansions,
-    save_generator_csv,
     union_check,
     union_sweep,
 )
@@ -256,7 +255,7 @@ class RunConfig:
     n_per_unit: int = 128
     refine: tuple = DEFAULT_LEVELS
     rank_tol: float = RANK_TOL
-    recon_tol: float = 1e-10
+    recon_tol: float = RECON_TOL
     max_iter: int = 2000
     seed: int = 0
     report_path: str | None = None
@@ -471,6 +470,8 @@ def _cmd_mult_check(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
     ps = _load_frequencies(cfg.inputs["pointset"])
     check = cfg.inputs.get("check", "frame")
+    if check == "converse" and cfg.inputs.get("sweep"):
+        raise ConfigError("inputs/sweep: the converse check has no refinement sweep")
     grid = _grid(cfg, dom)
     gen, phi_fn = _load_generator(grid, cfg.inputs["multiplier"], cfg)
     phi = gen.hat
@@ -511,7 +512,12 @@ def _cmd_build_generator(cfg: RunConfig):
     spec = _load_bump(cfg.inputs["bump"])
     gen = _bump_generator(spec, cfg)
     grid = gen.grid
-    save_generator_csv(gen, cfg.inputs["csv_out"])
+    rows = [
+        [float(w), float(v.real), float(v.imag)]
+        for w, v in zip(grid.nodes, gen.hat.values)
+    ]
+    header = ["omega", "re", "im"]
+    _atomic_write(cfg.inputs["csv_out"], lambda fh: csv.writer(fh).writerows([header, *rows]))
     on_base = spec.base_domain.contains(grid.nodes)
     results = {
         "bump": spec,
@@ -520,11 +526,7 @@ def _cmd_build_generator(cfg: RunConfig):
         "max_dev_on_base": float(np.abs(gen.hat.values[on_base] - 1.0).max()),
         "csv_out": cfg.inputs["csv_out"],
     }
-    rows = [
-        [float(w), float(v.real), float(v.imag)]
-        for w, v in zip(grid.nodes, gen.hat.values)
-    ]
-    return results, True, (["omega", "re", "im"], rows)
+    return results, True, (header, rows)
 
 
 # the ExpansionResult fields each reconstruct target reports

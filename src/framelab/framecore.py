@@ -71,10 +71,16 @@ __all__ = [
     "reconstruct",
     "write_spectrum_csv",
     "RANK_TOL",
+    "TIGHT_SPREAD",
+    "RECON_TOL",
 ]
 
 # eigenvalues at or below this share of the largest fall outside the rank
 RANK_TOL = 1e-8
+# a spread (upper - lower) at or below this share of the upper end counts as tight
+TIGHT_SPREAD = 1e-8
+# the relative residual a reconstruction must reach
+RECON_TOL = 1e-10
 
 # dense Hermitian eigensolves stay reliable and fast up to this order;
 # beyond it only the smaller of S and G is diagonalized
@@ -374,7 +380,7 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
 
     Flags: bessel is immediate for finite systems unless a caller bound is
     supplied; frame_for_whole_space needs rank == dim; riesz_sequence needs a
-    fully retained Gram spectrum; tight means relative spread <= 1e-8.
+    fully retained Gram spectrum; tight means relative spread <= ``TIGHT_SPREAD``.
     """
     if not 0 < rank_tol < math.inf:
         raise ValueError("rank_tol must be positive and finite")
@@ -421,7 +427,7 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
         gram_extremes = (g_min, g_max)
         riesz = g_max > 0.0 and g_min > rank_tol * g_max
 
-    tight = rank >= 1 and (upper - lower) <= 1e-8 * upper
+    tight = rank >= 1 and (upper - lower) <= TIGHT_SPREAD * upper
     bessel = True if bessel_bound is None else upper <= float(bessel_bound) * (1 + 1e-12)
     flags = FrameFlags(
         bessel=bool(bessel),
@@ -460,7 +466,7 @@ class ReconstructionResult:
     iterations: int
 
 
-def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = 1e-10,
+def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = RECON_TOL,
                 max_iter: int = 500) -> ReconstructionResult:
     """Expansion coefficients c with sum_k c_k psi_k = f, via conjugate
     gradients on the frame operator.

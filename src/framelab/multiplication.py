@@ -23,7 +23,8 @@ import numpy as np
 
 from .domain import Domain, Grid, SampledFunction, extend_grid, make_grid
 from .errors import FrameLabError, HypothesisError
-from .framecore import RANK_TOL, FrameReport, SynthesisSystem, exponential_system, measure_bounds
+from .framecore import (RANK_TOL, TIGHT_SPREAD, FrameReport, SynthesisSystem, exponential_system,
+                        measure_bounds)
 from .pointset import PointSet
 from .records import Record, jsonable
 
@@ -285,8 +286,9 @@ def _bounded_below_on_support(profile: MultiplierProfile, trace: RefinementTrace
     return math.isfinite(profile.ess_inf_support) and profile.ess_inf_support > 0.0
 
 
-# Judges: (prepared, trace, **options) -> (predicted, measured,
-# envelope, envelope_holds, other conditions hold, details).
+# Judges: (prepared, trace, **options) -> (predicted, measured, envelope,
+# the bounds it brackets, the predicted key that turns the bracket check on
+# (None: always on), other conditions hold, details).
 
 
 def _judge_frame(p, trace):
@@ -298,20 +300,16 @@ def _judge_frame(p, trace):
         "frame": p.mult_report.flags.frame_for_whole_space,
         "complete": p.mult_report.rank == p.mult_report.dim_space,
     }
-    envelope = _product_envelope(p)
-    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report))
-    return predicted, measured, envelope, holds, True, {}
+    return predicted, measured, _product_envelope(p), _bounds(p.mult_report), "frame", True, {}
 
 
 def _judge_tight(p, trace):
     prof = p.profile
-    unimodular = prof.ess_inf > 0.0 and (prof.ess_sup - prof.ess_inf) <= 1e-8 * prof.ess_sup
+    unimodular = prof.ess_inf > 0.0 and (prof.ess_sup - prof.ess_inf) <= TIGHT_SPREAD * prof.ess_sup
     flags = p.mult_report.flags
-    envelope = _product_envelope(p)
-    holds = within_envelope(envelope, _bounds(p.mult_report))
     spread = p.mult_report.upper - p.mult_report.lower
     return ({"tight": unimodular}, {"tight": flags.tight and flags.frame_for_whole_space},
-            envelope, holds, True, {"spread": spread})
+            _product_envelope(p), _bounds(p.mult_report), None, True, {"spread": spread})
 
 
 def _judge_riesz(p, trace):
@@ -322,19 +320,17 @@ def _judge_riesz(p, trace):
     g_extremes = rep.gram_extremes
     base_g = p.base_report.gram_extremes
     envelope = (base_g[0] * p.profile.ess_inf**2, base_g[1] * p.profile.ess_sup**2)
-    holds = not predicted["riesz"] or within_envelope(envelope, g_extremes)
-    return predicted, measured, envelope, holds, True, {"gram_extremes": g_extremes}
+    return predicted, measured, envelope, g_extremes, "riesz", True, {"gram_extremes": g_extremes}
 
 
 def _judge_bessel(p, trace):
     bound = p.base_report.upper * p.profile.ess_sup**2
-    holds = p.mult_report.upper <= bound * (1 + ENVELOPE_SLACK) + 1e-300
     measured = {"bessel": p.mult_report.flags.bessel}
     details = {
         "upper_bound": bound,
         "unbounded_trend": trace is not None and not trace.sup_stable,
     }
-    return {"bessel": True}, measured, (0.0, bound), holds, True, details
+    return {"bessel": True}, measured, (0.0, bound), _bounds(p.mult_report), None, True, details
 
 
 def _judge_frame_sequence(p, trace):
@@ -350,7 +346,6 @@ def _judge_frame_sequence(p, trace):
     measured = {"frame_sequence": mult_report.flags.frame_sequence}
     inf_support = prof.ess_inf_support if math.isfinite(prof.ess_inf_support) else 0.0
     envelope = (p.base_report.lower * inf_support**2, p.base_report.upper * prof.ess_sup**2)
-    holds = not predicted["frame_sequence"] or within_envelope(envelope, _bounds(mult_report))
 
     pad = AMBIENT_PAD_CELLS
     big_grid = extend_grid(mult.grid, pad, pad)
@@ -372,7 +367,8 @@ def _judge_frame_sequence(p, trace):
         "ambient_bounds": _bounds(big_report),
         "ess_inf_support": prof.ess_inf_support,
     }
-    return predicted, measured, envelope, holds, rank_ok and ambient_ok, details
+    return (predicted, measured, envelope, _bounds(mult_report), "frame_sequence",
+            rank_ok and ambient_ok, details)
 
 
 def _judge_converse(p, trace):
@@ -380,9 +376,8 @@ def _judge_converse(p, trace):
         p.mult_report.lower / p.profile.ess_sup**2,
         p.mult_report.upper / p.profile.ess_inf**2,
     )
-    holds = within_envelope(envelope, _bounds(p.base_report))
     measured = {"frame": p.base_report.flags.frame_for_whole_space}
-    return {"frame": True}, measured, envelope, holds, True, {}
+    return {"frame": True}, measured, envelope, _bounds(p.base_report), None, True, {}
 
 
 def _judge_translates(p, trace, label):
@@ -399,14 +394,13 @@ def _judge_translates(p, trace, label):
         "frame": flags.frame_for_whole_space,
         "frame_sequence": flags.frame_sequence,
     }
-    envelope = _product_envelope(p)
-    holds = not predicted["frame"] or within_envelope(envelope, _bounds(p.mult_report))
     details = {
         "generator": label,
         "support_nodes": n_support,
         "rank_matches_support": bool(rank_ok),
     }
-    return predicted, measured, envelope, holds, rank_ok, details
+    return (predicted, measured, _product_envelope(p), _bounds(p.mult_report), "frame", rank_ok,
+            details)
 
 
 @dataclass(frozen=True)
@@ -414,8 +408,8 @@ class _Kind:
     """One check kind, as the skeleton and refinement sweeps read it.
 
     The skeleton runs ``prepare``, demands ``hypothesis`` (None: no
-    hypothesis; ``violation`` says what failed) and lets ``judge`` predict,
-    measure and bracket.  A sweep traces ``metric`` per level, takes its
+    hypothesis; ``violation`` says what failed), lets ``judge`` predict,
+    measure and name the bracket, and tests it.  A sweep traces ``metric`` per level, takes its
     prediction from ``predict(trace, reports)``, its measurement from
     ``trend(metric, reports)`` and requires ``level_ok`` of every
     level report.  ``spans``: the hypothesis demands a frame of the whole
@@ -501,9 +495,12 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
     prepared = kind.prepare(sys, phi, rank_tol)
     if kind.hypothesis is not None and not kind.hypothesis(prepared):
         raise HypothesisError(f"hypothesis violated: {kind.violation}")
-    predicted, measured, envelope, holds, others_hold, details = kind.judge(
+    predicted, measured, envelope, bounds, gate, others_hold, details = kind.judge(
         prepared, trace, **options
     )
+    # the one bracket test of every kind; a prediction that promises no
+    # frame-type property turns it off
+    holds = within_envelope(envelope, bounds) or (gate is not None and not predicted[gate])
     if kind.traced:
         details["trace"] = None if trace is None else trace.to_dict()
     return MultCheckReport(

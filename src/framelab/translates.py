@@ -22,6 +22,7 @@ from .domain import make_grid
 from .errors import FrameLabError, HypothesisError, input_file
 from .framecore import (
     RANK_TOL,
+    RECON_TOL,
     FrameReport,
     SynthesisSystem,
     analyze,
@@ -31,7 +32,6 @@ from .framecore import (
 )
 from .multiplication import (
     DEFAULT_LEVELS,
-    ENVELOPE_SLACK,
     RefinementTrace,
     classify_translates,
     multiply_system,
@@ -313,7 +313,7 @@ class ExpansionResult:
 
 
 def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
-                          band: Domain, tol: float = 1e-10, max_iter: int = 2000,
+                          band: Domain, tol: float = RECON_TOL, max_iter: int = 2000,
                           rank_tol: float = RANK_TOL) -> ExpansionResult:
     """Expand a function bandlimited to ``band`` over translates of a plateau
     generator along an oversampled point set.
@@ -327,7 +327,7 @@ def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
 
 
 def oversampled_expansions(f_hats, gen: Generator, ps: PointSet, band: Domain,
-                           tol: float = 1e-10, max_iter: int = 2000,
+                           tol: float = RECON_TOL, max_iter: int = 2000,
                            rank_tol: float = RANK_TOL) -> list:
     """``oversampled_expansion`` of every target in ``f_hats``, in order.
 
@@ -375,7 +375,7 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
 
         coeff_norm_sq = float(np.vdot(alphas, alphas).real)
         coeff_bound = f_hat.norm_sq / exp_report.lower
-        bound_ok = coeff_norm_sq <= coeff_bound * (1 + 1e-9)
+        bound_ok = within_envelope((0.0, coeff_bound), (0.0, coeff_norm_sq))
         if not bound_ok:
             warnings.warn("expansion coefficients exceed the frame-bound budget", stacklevel=3)
         results.append(ExpansionResult(
@@ -504,47 +504,36 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         "factor_inf": (prof_f.ess_inf, prof_g.ess_inf),
     }
 
-    product_report = envelope = quotient_range = None
-    if mode == "bessel":
-        product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
-        envelope = (0.0, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
-        within = ok = product_report.upper <= envelope[1] * (1 + ENVELOPE_SLACK) + 1e-300
-    elif mode == "frame":
+    g_range = (prof_g.ess_inf, prof_g.ess_sup)
+    if mode == "quotient":
+        if not prof_f.bounded_below_on_grid:
+            raise FrameLabError("first factor is not bounded below; quotient is unbounded")
+        quotient_range = (prof_p.ess_inf / prof_f.ess_sup, prof_p.ess_sup / prof_f.ess_inf)
+        details["g_range"] = g_range
+        within = bool(within_envelope(quotient_range, g_range))
+        return ConvolutionReport(mode, exp_report, None, None, None, quotient_range,
+                                 within, within, details)
+
+    # the bracketed system is the product's, or ghat's for bessel_quotient;
+    # each mode states its hypotheses, its envelope's lower end and any
+    # further condition
+    hat, lower, upper = product_hat, 0.0, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2
+    quotient_range, range_ok = None, True
+    if mode == "frame":
         if not exp_report.flags.frame_for_whole_space:
             raise HypothesisError(f"hypothesis violated: {violation}")
         if not (prof_f.bounded_below_on_grid and prof_g.bounded_below_on_grid):
             raise HypothesisError("hypothesis violated: a factor is not bounded below on the band")
-        product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
-        envelope = (
-            m * (prof_f.ess_inf * prof_g.ess_inf) ** 2,
-            M * (prof_f.ess_sup * prof_g.ess_sup) ** 2,
-        )
-        within = within_envelope(envelope, (product_report.lower, product_report.upper))
-        ok = within and product_report.flags.frame_for_whole_space
+        lower = m * (prof_f.ess_inf * prof_g.ess_inf) ** 2
     elif mode == "frame_sequence":
         mask = prof_p.support_mask
         if not mask.any():
             raise FrameLabError("zero product: supports do not intersect")
         inf_f = float(np.abs(gen_f.hat.values[mask]).min())
         inf_g = float(np.abs(gen_g.hat.values[mask]).min())
-        product_report = measure_bounds(multiply_system(exp, product_hat), rank_tol)
-        envelope = (m * (inf_f * inf_g) ** 2, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2)
-        within = within_envelope(envelope, (product_report.lower, product_report.upper))
-        rank_ok = product_report.rank == int(mask.sum())
+        lower = m * (inf_f * inf_g) ** 2
         details["support_nodes"] = int(mask.sum())
-        details["rank_matches_support"] = bool(rank_ok)
-        ok = within and rank_ok
-    elif mode == "quotient":
-        if not prof_f.bounded_below_on_grid:
-            raise FrameLabError("first factor is not bounded below; quotient is unbounded")
-        quotient_range = (prof_p.ess_inf / prof_f.ess_sup, prof_p.ess_sup / prof_f.ess_inf)
-        g_mag = np.abs(gen_g.hat.values)
-        within = ok = (
-            float(g_mag.min()) >= quotient_range[0] * (1 - ENVELOPE_SLACK) - 1e-300
-            and float(g_mag.max()) <= quotient_range[1] * (1 + ENVELOPE_SLACK) + 1e-300
-        )
-        details["g_range"] = (float(g_mag.min()), float(g_mag.max()))
-    else:  # bessel_quotient
+    elif mode == "bessel_quotient":
         if floor is None:
             floor = prof_f.ess_inf
         if floor <= prof_f.zero_tol * prof_f.ess_sup or floor <= 0.0:
@@ -552,26 +541,22 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         if prof_f.ess_inf < floor * (1 - 1e-12):
             raise FrameLabError("declared floor exceeds the first factor's actual infimum")
         sup_bound = prof_p.ess_sup / floor
-        product_report = measure_bounds(multiply_system(exp, gen_g.hat), rank_tol)
-        envelope = (0.0, M * sup_bound**2)
-        quotient_range = (0.0, sup_bound)
-        within = ok = (
-            prof_g.ess_sup <= sup_bound * (1 + ENVELOPE_SLACK)
-            and product_report.upper <= envelope[1] * (1 + ENVELOPE_SLACK) + 1e-300
-        )
+        hat, upper, quotient_range = gen_g.hat, M * sup_bound**2, (0.0, sup_bound)
+        range_ok = within_envelope(quotient_range, g_range)
         details["sup_bound"] = float(sup_bound)
-        details["g_upper_bound"] = float(envelope[1])
-    return ConvolutionReport(
-        mode=mode,
-        exp_report=exp_report,
-        product_report=product_report,
-        envelope=envelope,
-        measured=None if product_report is None else (product_report.lower, product_report.upper),
-        quotient_range=quotient_range,
-        within=bool(within),
-        consistent=bool(ok),
-        details=details,
-    )
+        details["g_upper_bound"] = float(upper)
+    product_report = measure_bounds(multiply_system(exp, hat), rank_tol)
+    measured = (product_report.lower, product_report.upper)
+    within = within_envelope((lower, upper), measured) and range_ok
+    ok = within
+    if mode == "frame":
+        ok = within and product_report.flags.frame_for_whole_space
+    elif mode == "frame_sequence":
+        rank_ok = product_report.rank == details["support_nodes"]
+        details["rank_matches_support"] = bool(rank_ok)
+        ok = within and rank_ok
+    return ConvolutionReport(mode, exp_report, product_report, (lower, upper), measured,
+                             quotient_range, bool(within), bool(ok), details)
 
 
 @dataclass(frozen=True, eq=False)

@@ -263,6 +263,30 @@ def test_mult_check_converse(workdir):
     assert check["base"]["upper"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_mult_check_converse_rejects_sweep(workdir, capsys):
+    dom = write_json(workdir / "dom.json", {"intervals": E_INTERVALS})
+    pts = write_points(workdir / "pts.csv", np.arange(64) - 32.0)
+    out = workdir / "report.json"
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": "mult-check",
+            "inputs": {
+                "domain": dom,
+                "pointset": pts,
+                "multiplier": {"expr": "2 + sin(2 * pi * t)"},
+                "check": "converse",
+                "sweep": True,
+            },
+            "grid": {"n_per_unit": 64},
+        },
+    )
+    assert main(["--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "inputs/sweep" in err and "converse" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, inputs", [
     ("frame-bounds", {}),
     ("mult-check", {"multiplier": {"expr": "2 + sin(t)"}, "check": "frame", "sweep": False}),
@@ -404,6 +428,37 @@ def test_build_generator_writes_csv(workdir):
     assert rep["max_dev_on_base"] == 0.0
     assert rep["nodes"] == 288
     assert os.path.exists(gen_csv)
+
+
+def test_build_generator_csv_matches_save_generator_csv(workdir, monkeypatch):
+    import framelab.cli as cli
+    from framelab.domain import Domain, make_grid
+    from framelab.translates import BumpSpec, build_bump_generator, save_generator_csv
+
+    written = []
+    atomic_write = cli._atomic_write
+    monkeypatch.setattr(cli, "_atomic_write",
+                        lambda path, fill: (written.append(path), atomic_write(path, fill)))
+
+    bump = write_json(workdir / "bump.json", {"intervals": [[-0.4, 0.4]], "delta": 0.05})
+    out_dir = workdir / "out"
+    out_dir.mkdir()
+    gen_csv = out_dir / "gen.csv"
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": "build-generator",
+            "inputs": {"bump": bump, "csv_out": str(gen_csv)},
+            "grid": {"n_per_unit": 320},
+        },
+    )
+    assert main(["--config", cfg_path, "--out", str(out_dir / "report.json")]) == 0
+    spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
+    save_generator_csv(build_bump_generator(spec, make_grid(spec.dilated, 320)),
+                       workdir / "reference.csv")
+    assert str(gen_csv) in written
+    assert gen_csv.read_bytes() == (workdir / "reference.csv").read_bytes()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["gen.csv", "report.json"]
 
 
 def half_integer_points(workdir):

@@ -172,7 +172,7 @@ UNION_INPUTS = ["inputs.parts[]", "inputs.parts[].expr", "inputs.parts[].interva
                 "inputs.sweep"]
 TRANSLATE_INPUTS = ["inputs.domain", "inputs.generator.expr", "inputs.pointset", "inputs.sweep"]
 
-# case -> (exit code, key paths); exit 0 means passed, 1 failed, 3 no report
+# case -> (exit code, key paths); exit 0 means passed, 1 failed, 2 and 3 no report
 EXPECTED = {
     "density": (0, ENVELOPE + [
         "inputs.a", "inputs.pointset", "inputs.r", "inputs.r_ball",
@@ -199,9 +199,8 @@ EXPECTED = {
                           + under("results.sweep", sweep_report("bessel"))),
     "mult-frame_sequence-sweep": (1, ENVELOPE + MULT_INPUTS
                                   + under("results.sweep", sweep_report("frame_sequence"))),
-    # the converse check has no sweep: its single-grid report comes back
-    "mult-converse-sweep": (0, ENVELOPE + MULT_INPUTS
-                            + under("results.check", check_report("converse"))),
+    # the converse check has no sweep: asking for one is a config error
+    "mult-converse-sweep": (2, []),
     "mult-frame-sweep-vanishing": (0, ENVELOPE + MULT_INPUTS
                                    + under("results.sweep", sweep_report("frame"))),
     "translate": (0, ENVELOPE + TRANSLATE_INPUTS
@@ -241,7 +240,7 @@ def test_report_shape(name, tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps(CONFIGS[name]))
     code, paths = EXPECTED[name]
     assert main(["--config", "cfg.json", "--out", "report.json"]) == code
-    if code == 3:
+    if code in (2, 3):
         assert not (tmp_path / "report.json").exists()
         return
     report = json.loads((tmp_path / "report.json").read_text())
