@@ -13,8 +13,8 @@ import csv
 import dataclasses
 import json
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -38,7 +38,7 @@ from .pointset import (
     load_pointset,
     separation,
 )
-from .records import jsonable
+from .records import dumps
 from .translates import (
     BumpSpec,
     Generator,
@@ -320,12 +320,24 @@ def parse_config(path) -> RunConfig:
 
 
 def _atomic_write(path: str, fill) -> None:
-    """Write through ``fill(fh)`` to a temporary file, then rename it over ``path``."""
+    """Write through ``fill(fh)`` to a temporary file, then rename it over ``path``.
+
+    The file keeps the mode a plain ``open(path, "w")`` leaves: that of the
+    file it replaces, or 0o666 less the umask for a new one.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framelab-")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".framelab-{os.urandom(8).hex()}")
+    # created as open() creates a file, so the umask applies
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fill(fh)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -678,7 +690,7 @@ def run(cfg: RunConfig) -> int:
         "passed": bool(passed),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    text = json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = dumps(report)
     try:
         if cfg.report_path:
             _atomic_write(cfg.report_path, lambda fh: fh.write(text))

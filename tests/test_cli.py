@@ -461,6 +461,36 @@ def test_build_generator_csv_matches_save_generator_csv(workdir, monkeypatch):
     assert sorted(p.name for p in out_dir.iterdir()) == ["gen.csv", "report.json"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_written_files_get_the_mode_open_gives(workdir, umask):
+    """A new report, CSV sidecar or ``csv_out`` gets 0o666 less the umask, as
+    ``open(path, "w")`` gives it; a file written again keeps its mode."""
+    bump = write_json(workdir / "bump.json", {"intervals": [[-0.4, 0.4]], "delta": 0.05})
+    outputs = [workdir / name for name in ("gen.csv", "report.json", "report.csv")]
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": "build-generator",
+            "inputs": {"bump": bump, "csv_out": str(outputs[0])},
+            "grid": {"n_per_unit": 320},
+            "output": {"format": "csv"},
+        },
+    )
+    argv = ["--config", cfg_path, "--out", str(outputs[1])]
+    saved = os.umask(umask)
+    try:
+        assert main(argv) == 0
+        assert [p.stat().st_mode & 0o7777 for p in outputs] == [0o666 & ~umask] * 3
+        for p, mode in zip(outputs, (0o640, 0o604, 0o600)):
+            p.chmod(mode)
+        assert main(argv) == 0
+        assert [p.stat().st_mode & 0o7777 for p in outputs] == [0o640, 0o604, 0o600]
+    finally:
+        os.umask(saved)
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "bump.json", "cfg.json", "gen.csv", "report.csv", "report.json"]
+
+
 def half_integer_points(workdir):
     lam = (np.arange(576) - 288) / 1.8
     return write_points(workdir / "pts.csv", lam)

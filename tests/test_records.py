@@ -1,16 +1,25 @@
-"""JSON forms of the report classes: the keys each one serializes to.
+"""JSON forms of the report classes: the keys each one serializes to, and
+the report writer, whose text must equal ``json.dumps`` of ``jsonable``.
 
 ``OuterFrameReport`` and ``ConvolutionReport`` are pinned here because no CLI
 command writes them, so ``test_report_shape.py`` never sees their keys.
 Fields declared ``repr=False`` hold arrays and sampled functions and stay out.
 """
 
+import json
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.framecore import exponential_system, measure_bounds
 from framelab.multiplication import profile_refinement
+from framelab.records import Record, dumps, jsonable
 from framelab.translates import (
     BumpSpec,
     Generator,
@@ -71,3 +80,97 @@ def test_unrepresented_fields_stay_out():
         "levels", "ess_inf", "ess_sup", "ess_inf_support", "bounded_below",
         "bounded_below_on_support", "sup_stable", "stability",
     }
+
+
+# --- the report writer against json.dumps of jsonable -------------------------------
+
+
+@dataclass
+class Tagged(Record):
+    label: str
+    value: object
+    samples: object = field(default=None, repr=False)
+
+
+def reference(obj):
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+FLOATS = st.floats() | st.sampled_from([1e308, -1e308, -0.0, 5e-324])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, st.text(),
+    st.sampled_from(["\x00\x1f\"\\", "é漢\U0001f600", "%s", "%%"]),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+)
+ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+                    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3))
+NAMES = st.text(max_size=3) | st.sampled_from(["%", "%s", "a%%b"])
+KEYS = st.one_of(NAMES, st.integers(-2, 2), st.sampled_from(["1", "-1"]))
+
+
+@st.composite
+def row_lists(draw, cells):
+    """Rows that share one set of keys, and now and then a later row that
+    gains or drops a key, holds another value type or is no dict at all."""
+    keys = draw(st.lists(NAMES, max_size=4, unique=True))
+    rows = [{k: draw(cells) for k in keys} for _ in range(draw(st.integers(1, 4)))]
+    if len(rows) > 1 and draw(st.booleans()):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        change = draw(st.sampled_from(["add", "drop", "nest", "float64", "nan", "list"]))
+        if change == "add":
+            row[draw(NAMES)] = draw(cells)
+        elif keys and change != "list":
+            key = draw(st.sampled_from(keys))
+            if change == "drop":
+                del row[key]
+            else:
+                row[key] = {"nest": [1.0], "float64": np.float64(2.5), "nan": math.nan}[change]
+        else:
+            rows.append([row])
+    return rows
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4), st.lists(FLOATS, max_size=5),
+        row_lists(SCALARS), st.builds(Tagged, st.text(max_size=3), children, ARRAYS),
+    )
+
+
+VALUES = st.recursive(SCALARS | ARRAYS, containers, max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(VALUES)
+def test_writer_matches_json_dumps_of_jsonable(obj):
+    assert dumps(obj) == reference(obj)
+
+
+def test_writer_matches_on_colliding_and_empty_values():
+    for obj in [{1: "int", "1": "str"}, {"1": "str", 1: "int"}, {}, [], (), np.zeros((2, 0)),
+                [{}], [{"a": 1.0}, {"a": None}], [{"b": 1.0, "a": np.float64("nan")}] * 3,
+                Tagged("t", {2: [], -1: {}}), [[1.5, float("inf")], [1e308, 1e308]]]:
+        assert dumps(obj) == reference(obj)
+
+
+class Opaque:
+    pass
+
+
+@given(st.lists(VALUES, max_size=4), st.data())
+def test_unserializable_leftovers_raise_type_error_on_both_paths(items, data):
+    bad = data.draw(st.sampled_from([Opaque(), {1, 2}, np.datetime64(0, "s"), np.array(1.0)]))
+    where = data.draw(st.sampled_from(["list", "dict", "row"]))
+    i = data.draw(st.integers(0, len(items)))
+    if where == "list":
+        obj = items[:i] + [bad] + items[i:]
+    elif where == "dict":
+        obj = {str(k): v for k, v in enumerate(items)} | {"bad": bad}
+    else:
+        obj = [{"x": 1.0}] * i + [{"x": bad}] + [{"x": 2.0}]
+    for write in (dumps, reference):
+        with pytest.raises(TypeError):
+            write(obj)

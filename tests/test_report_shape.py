@@ -246,3 +246,28 @@ def test_report_shape(name, tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is (code == 0)
     assert sorted(key_paths(report)) == sorted(set(paths))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_reruns_write_the_same_bytes(name, tmp_path, monkeypatch):
+    """Two runs of one config and seed write the same report and CSV sidecar
+    bytes, apart from the report's generated_at line."""
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(CONFIGS[name]))
+    code = EXPECTED[name][0]
+    written = []
+    for run in ("a", "b"):
+        assert main(["--config", "cfg.json", "--out", f"{run}.json", "--format", "csv"]) == code
+        paths = [tmp_path / f"{run}{ext}" for ext in (".json", ".csv")]
+        written.append([p.read_bytes() if p.exists() else None for p in paths])
+    if code in (2, 3):
+        assert written == [[None, None]] * 2
+        return
+    (json_a, csv_a), (json_b, csv_b) = written
+    stamp = b'  "generated_at": '
+    lines_a, lines_b = json_a.splitlines(keepends=True), json_b.splitlines(keepends=True)
+    assert sum(l.startswith(stamp) for l in lines_a) == 1
+    assert ([l for l in lines_a if not l.startswith(stamp)]
+            == [l for l in lines_b if not l.startswith(stamp)])
+    assert csv_a == csv_b
