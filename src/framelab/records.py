@@ -63,16 +63,6 @@ def _atom(obj):
     return int.__repr__(v) if isinstance(v, int) else float.__repr__(v)
 
 
-def _floats(values):
-    """``float.__repr__`` of each value if all are finite plain floats, else None.
-
-    Finite floats sum to a finite value; a sum that overflows only costs
-    this shortcut."""
-    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
-        return list(map(float.__repr__, values))
-    return None
-
-
 def _rows(rows: list, nl: str):
     """The items at indent ``nl`` of a list of non-empty dicts that share one
     set of str keys and hold only atoms, through one format string; None for
@@ -84,8 +74,11 @@ def _rows(rows: list, nl: str):
         return None
     keys = sorted(first)
     values = [row[k] for row in rows for k in keys]
-    atoms = _floats(values)
-    if atoms is None:
+    # finite floats sum to a finite value; a sum that overflows only costs
+    # this shortcut
+    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
+        atoms = list(map(float.__repr__, values))
+    else:
         atoms = [_atom(v) for v in values]
         if None in atoms:
             return None
@@ -117,8 +110,7 @@ def _write(obj, out: list, nl: str) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        floats = _floats(obj)
-        items = ("," + inner).join(floats) if floats is not None else _rows(obj, inner)
+        items = _rows(obj, inner)
         if items is not None:
             out.append("[" + inner + items + nl + "]")
             return

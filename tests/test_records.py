@@ -136,7 +136,7 @@ def containers(children):
     return st.one_of(
         st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
         st.dictionaries(KEYS, children, max_size=4), st.lists(FLOATS, max_size=5),
-        row_lists(SCALARS), st.builds(Tagged, st.text(max_size=3), children, ARRAYS),
+        row_lists(SCALARS), row_lists(FLOATS), st.builds(Tagged, st.text(max_size=3), children, ARRAYS),
     )
 
 
@@ -152,6 +152,7 @@ def test_writer_matches_json_dumps_of_jsonable(obj):
 def test_writer_matches_on_colliding_and_empty_values():
     for obj in [{1: "int", "1": "str"}, {"1": "str", 1: "int"}, {}, [], (), np.zeros((2, 0)),
                 [{}], [{"a": 1.0}, {"a": None}], [{"b": 1.0, "a": np.float64("nan")}] * 3,
+                [{"a": 1.0, "b": math.nan}, {"a": -math.inf, "b": 1e308}],
                 Tagged("t", {2: [], -1: {}}), [[1.5, float("inf")], [1e308, 1e308]]]:
         assert dumps(obj) == reference(obj)
 

@@ -235,39 +235,29 @@ def test_every_case_has_an_expected_shape():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_shape(name, tmp_path, monkeypatch):
+    """Each config's report has its expected key paths, and a rerun of the
+    same config and seed writes the same report bytes, apart from the
+    generated_at line, and the same CSV sidecar."""
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(CONFIGS[name]))
     code, paths = EXPECTED[name]
-    assert main(["--config", "cfg.json", "--out", "report.json"]) == code
+    for run in ("a", "b"):
+        assert main(["--config", "cfg.json", "--out", f"{run}.json", "--format", "csv"]) == code
     if code in (2, 3):
-        assert not (tmp_path / "report.json").exists()
+        assert not list(tmp_path.glob("[ab].*"))
         return
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = json.loads((tmp_path / "a.json").read_text())
     assert report["passed"] is (code == 0)
     assert sorted(key_paths(report)) == sorted(set(paths))
 
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_reruns_write_the_same_bytes(name, tmp_path, monkeypatch):
-    """Two runs of one config and seed write the same report and CSV sidecar
-    bytes, apart from the report's generated_at line."""
-    write_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(CONFIGS[name]))
-    code = EXPECTED[name][0]
-    written = []
-    for run in ("a", "b"):
-        assert main(["--config", "cfg.json", "--out", f"{run}.json", "--format", "csv"]) == code
-        paths = [tmp_path / f"{run}{ext}" for ext in (".json", ".csv")]
-        written.append([p.read_bytes() if p.exists() else None for p in paths])
-    if code in (2, 3):
-        assert written == [[None, None]] * 2
-        return
-    (json_a, csv_a), (json_b, csv_b) = written
     stamp = b'  "generated_at": '
-    lines_a, lines_b = json_a.splitlines(keepends=True), json_b.splitlines(keepends=True)
-    assert sum(l.startswith(stamp) for l in lines_a) == 1
-    assert ([l for l in lines_a if not l.startswith(stamp)]
-            == [l for l in lines_b if not l.startswith(stamp)])
-    assert csv_a == csv_b
+    lines_a, lines_b = ((tmp_path / f"{run}.json").read_bytes().splitlines(keepends=True)
+                        for run in ("a", "b"))
+    assert sum(line.startswith(stamp) for line in lines_a) == 1
+    assert ([line for line in lines_a if not line.startswith(stamp)]
+            == [line for line in lines_b if not line.startswith(stamp)])
+    csv_a, csv_b = (tmp_path / f"{run}.csv" for run in ("a", "b"))
+    assert csv_a.exists() is csv_b.exists()
+    if csv_a.exists():
+        assert csv_a.read_bytes() == csv_b.read_bytes()
