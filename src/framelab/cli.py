@@ -551,6 +551,9 @@ def _cmd_reconstruct(cfg: RunConfig):
     ps = _load_frequencies(cfg.inputs["pointset"])
     if "densify" in cfg.inputs:
         d = cfg.inputs["densify"]
+        if d["sep_min"] > d["target_gap"]:
+            raise ConfigError(f"inputs/densify/sep_min: {d['sep_min']} exceeds "
+                              f"target_gap {d['target_gap']}, so no infill can reach the gap")
         ps = densify(ps, d["target_gap"], d["sep_min"])
     gen = _bump_generator(BumpSpec(band, cfg.inputs["delta"]), cfg)
     grid = gen.grid

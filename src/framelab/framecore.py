@@ -31,15 +31,22 @@ of the O(nK) product U (U^H p); a product applies phi * T(conj(phi) p).
 Every other system stays dense.
 
 The member matrix U of an exponential system, and of a product with a
-multiplier, is deferred: it is formed on first access to ``matrix`` and then
-cached, so a structured system that only needs its bounds past the Gram
-budget (K > 1024) never forms it.  Its column needs no U either: writing
-j = m B + r with B = ceil(sqrt(n)) and z_k = e^{-2 pi i h lambda_k},
-c_j = h sum_k (z_k^B)^m z_k^r is one small product of a ceil(n/B) x K
-matrix of powers of z^B with a B x K matrix of powers of z, each row taken
-from the last by a running product: 2K exps in O(sqrt(n) K) memory instead
-of the nK of U.  Reconstruction, analysis, synthesis, the Gram spectrum and
-the padded and stacked systems of the checks still form U, once per system.
+multiplier, is deferred: it is formed on first access to ``matrix`` and
+then cached, so a structured system that only needs its bounds past the
+Gram budget (K > 1024) never forms it.  On a uniform grid neither U nor its
+column needs n K exps: writing j = m B + r with B = ceil(sqrt(n)) and z_k =
+e^{-2 pi i h lambda_k}, U[j, k] = e^{-2 pi i t_0 lambda_k} (z_k^B)^m z_k^r,
+each factor a row of a ceil(n/B) x K or B x K matrix of powers taken from
+the last by a running product.  U is then one broadcast product of the two
+from 3K exps, with every phase reduced mod 1 before its exp, and is as
+accurate as the n K exps (both within a few eps 2 pi |t| |lambda| of the
+exact values); the column c_j = h sum_k (z_k^B)^m z_k^r is one small matrix
+product of powers of the same z_k, 2K exps in O(sqrt(n) K) memory.
+Reconstruction, analysis, synthesis, the Gram spectrum and the padded and
+stacked systems of the checks read U, which is formed once per system.  U
+moves only in its last bits against the n K exps, so reports across such a
+change are compared by value (``tools/report_digest.py --compare``), not by
+bytes.
 """
 
 from __future__ import annotations
@@ -197,29 +204,51 @@ class SynthesisSystem:
         return out
 
 
+def _powers(z: np.ndarray, rows: int, start=1.0) -> np.ndarray:
+    """rows x K matrix start * z^m, each row the last times z by a running
+    product."""
+    out = np.empty((rows, z.size), dtype=complex)
+    out[0] = start
+    out[1:] = z
+    return np.cumprod(out, axis=0, out=out)
+
+
 def _toeplitz_column(h: float, lam: np.ndarray, n: int) -> np.ndarray:
     """c_j = h sum_k z_k^j, z_k = exp(-2 pi i h lambda_k), for j < n, by the
-    factored product of the module notes: O(K) exps in O(sqrt(n) K) memory."""
+    factored product of the module notes: 2K exps in O(sqrt(n) K) memory."""
     b = math.isqrt(n - 1) + 1
+    coarse = _powers(np.exp(-2j * np.pi * (b * h) * lam), -(-n // b))
+    return h * (coarse @ _powers(np.exp(-2j * np.pi * h * lam), b).T).ravel()[:n]
 
-    def powers(step, rows):
-        out = np.empty((rows, lam.size), dtype=complex)
-        out[0] = 1.0
-        out[1:] = np.exp(-2j * np.pi * step * lam)
-        return np.cumprod(out, axis=0, out=out)
 
-    return h * (powers(b * h, -(-n // b)) @ powers(h, b).T).ravel()[:n]
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i x), with x reduced mod 1 first so that 2 pi x rounds in [-pi, pi]."""
+    return np.exp(-2j * np.pi * (x - np.round(x)))
+
+
+def _uniform_matrix(t0: float, h: float, lam: np.ndarray, n: int) -> np.ndarray:
+    """U[j, k] = exp(-2 pi i (t0 + j h) lambda_k) for j < n, by the factored
+    product of the module notes: 3K exps and one broadcast product."""
+    b = math.isqrt(n - 1) + 1
+    coarse = _powers(_cis(b * h * lam), -(-n // b), start=_cis(t0 * lam))
+    return (coarse[:, None, :] * _powers(_cis(h * lam), b)).reshape(-1, lam.size)[:n]
 
 
 def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
-    """Members exp(-2 pi i lambda_k t) on g's nodes, labeled by lambda_k; the
-    member matrix is formed only when read (see the module notes)."""
+    """Members exp(-2 pi i lambda_k t) on g's nodes, labeled by lambda_k.
+
+    The member matrix is formed only when read: from running powers on a
+    uniform one-interval grid, where the system also keeps its Toeplitz
+    column, and from n K exps elsewhere (see the module notes)."""
     if ps.dim != 1:
         raise ValueError("exponential systems take 1-D frequency sets")
     lam = ps.xs
-    sys = SynthesisSystem._deferred(g, lam, lambda: np.exp(-2j * np.pi * np.outer(g.nodes, lam)))
-    if g.steps is not None and len(g.steps) == 1:
-        sys._column = _toeplitz_column(g.steps[0], lam, g.size)
+    if g.steps is None or len(g.steps) != 1:
+        return SynthesisSystem._deferred(
+            g, lam, lambda: np.exp(-2j * np.pi * np.outer(g.nodes, lam)))
+    h, n = g.steps[0], g.size
+    sys = SynthesisSystem._deferred(g, lam, lambda: _uniform_matrix(g.nodes[0], h, lam, n))
+    sys._column = _toeplitz_column(h, lam, n)
     return sys
 
 

@@ -553,6 +553,17 @@ def test_reconstruct_with_target_csv_and_densify(workdir):
     assert rep["results"]["n_points"] > 288
 
 
+def test_reconstruct_with_sep_min_above_target_gap_is_exit_2(workdir, capsys):
+    cfg = _reconstruct(workdir)
+    cfg["inputs"]["densify"] = {"target_gap": 0.3, "sep_min": 0.6}
+    cfg_path = write_json(workdir / "cfg.json", cfg)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "inputs/densify/sep_min" in err
+    assert not (workdir / "report.json").exists()
+
+
 def test_reconstruct_job_builds_one_system_for_all_targets(workdir, monkeypatch):
     import framelab.translates as translates
     from framelab.domain import Domain, SampledFunction, make_grid

@@ -1,9 +1,12 @@
 """Deferred member matrices: an exponential system, and its products with
-multipliers, form U only when something reads ``matrix``, and the Toeplitz
-column of a uniform one-interval grid is built without U by the factored
-product of ``_toeplitz_column``.  A forced matrix is the eager expression
-bit for bit, and the checks report the bounds of a system built from it."""
+multipliers, form U only when something reads ``matrix``.  On a uniform
+one-interval grid both U and the Toeplitz column are built by factored
+products of running powers (``_uniform_matrix``, ``_toeplitz_column``); there
+U is checked against an extended-precision reference, elsewhere it is the
+eager expression bit for bit.  The checks and the expansions report what a
+system built from the eager matrix gives."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from framelab import translates
 from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.errors import FrameLabError
 from framelab.framecore import (
@@ -25,6 +29,8 @@ from framelab.multiplication import (
     check_riesz_multiplication,
     multiply_system,
 )
+from framelab.pointset import PointSet
+from framelab.translates import BumpSpec, build_bump_generator, oversampled_expansions
 from support import jittered_lattice
 
 
@@ -34,6 +40,24 @@ def formed(sys) -> bool:
 
 def eager(grid, lam):
     return np.exp(-2j * np.pi * np.outer(grid.nodes, lam))
+
+
+LONG_EPS = float(np.finfo(np.longdouble).eps)
+DOUBLE_EPS = float(np.finfo(float).eps)
+long_double = pytest.mark.skipif(LONG_EPS >= DOUBLE_EPS,
+                                 reason="long double is no wider than double here")
+
+
+def reference_error(grid, lam, mat):
+    """Largest |mat - exp(-2 pi i t lambda)| over the exact midpoints t of a
+    one-interval grid, with t lambda formed in long double and reduced mod 1
+    before its exponential."""
+    (a, b), = grid.domain.intervals
+    a, b = np.longdouble(a), np.longdouble(b)
+    j = np.arange(grid.size, dtype=np.longdouble) + np.longdouble(0.5)
+    phase = np.multiply.outer(a + j * ((b - a) / grid.size), np.asarray(lam, np.longdouble))
+    angle = -8 * np.arctan(np.longdouble(1)) * (phase - np.round(phase))
+    return float(np.hypot(mat.real - np.cos(angle), mat.imag - np.sin(angle)).max())
 
 
 # The reference h U conj(U[0]) rounds each phase 2 pi t lambda to about
@@ -73,13 +97,83 @@ def test_forced_matrix_is_the_eager_expression(intervals):
     sys = exponential_system(grid, ps)
     assert not formed(sys) and sys.size == 70 and len(sys) == 70
     assert sys.labels == tuple(ps.xs)
-    assert np.array_equal(sys.matrix, eager(grid, ps.xs))
     assert sys.matrix is sys.matrix
 
     phi = np.exp(1j * grid.nodes) * (2.0 + np.cos(3 * grid.nodes))
-    mult = multiply_system(exponential_system(grid, ps), SampledFunction(grid, phi))
+    base = exponential_system(grid, ps)
+    mult = multiply_system(base, SampledFunction(grid, phi))
     assert not formed(mult)
-    assert np.array_equal(mult.matrix, phi[:, None] * eager(grid, ps.xs))
+    assert np.array_equal(mult.matrix, phi[:, None] * base.matrix)
+
+    if len(intervals) > 1:
+        assert np.array_equal(sys.matrix, eager(grid, ps.xs))
+        return
+    # running powers: at least as close to the exact values as np.exp
+    if LONG_EPS >= DOUBLE_EPS:
+        pytest.skip("long double is no wider than double here")
+    assert reference_error(grid, ps.xs, sys.matrix) <= reference_error(
+        grid, ps.xs, eager(grid, ps.xs))
+
+
+def sizes():
+    """Node counts up to 4096, with 1, 2 and the squares B^2 and B^2 + 1 at
+    which the factored product changes shape."""
+    squares = st.integers(min_value=1, max_value=63).flatmap(
+        lambda b: st.sampled_from([b * b, b * b + 1]))
+    return st.sampled_from([1, 2]) | squares | st.integers(min_value=1, max_value=4096)
+
+
+# Both U and the eager expression carry the node rounding eps * max(|a|, |b|)
+# into a phase of up to 2 pi * 1.45 * 2000, and U adds about 2 sqrt(n)
+# rounded products; over 800 random draws the worst error was 1.8 (U) and 2.3
+# (eager) times eps * (1 + 2 pi max(|a|, |b|) max|lambda| + sqrt(n)).
+@long_double
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    sizes(),
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=-0.7, max_value=0.45),
+    st.integers(min_value=1, max_value=4),
+)
+@example(seed=1, n=1, n_members=5, a=-0.7, stretch=1)
+@example(seed=2, n=4096, n_members=64, a=0.45, stretch=1)
+@example(seed=3, n=63 * 63 + 1, n_members=3, a=-0.5, stretch=4)
+@example(seed=4, n=2, n_members=64, a=0.0, stretch=2)
+def test_uniform_matrix_matches_the_long_double_reference(seed, n, n_members, a, stretch):
+    grid = make_grid(Domain([(a, a + 1 / stretch)]), n * stretch)
+    assert grid.size == n and grid.steps is not None and len(grid.steps) == 1
+    lam = np.unique(np.random.default_rng(seed).uniform(-2000.0, 2000.0, n_members))
+    sys = exponential_system(grid, PointSet.from_1d(lam, box=(-2000.0, 2000.0)))
+    reach = max(abs(a), abs(a + 1 / stretch))
+    scale = DOUBLE_EPS * (1 + 2 * math.pi * reach * np.abs(lam).max() + math.sqrt(n))
+    assert reference_error(grid, lam, sys.matrix) <= 4 * scale
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_expansions_match_a_system_built_from_the_eager_matrix(monkeypatch, seed):
+    spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
+    grid = make_grid(spec.dilated, 320)
+    gen = build_bump_generator(spec, grid)
+    ps = jittered_lattice(601, seed)
+    rng = np.random.default_rng(seed)
+    inside = spec.base_domain.contains(grid.nodes)
+    targets = [SampledFunction(grid, (rng.standard_normal(grid.size)
+                                      + 1j * rng.standard_normal(grid.size)) * inside)
+               for _ in range(2)]
+    fast = oversampled_expansions(targets, gen, ps, spec.base_domain)
+
+    build = translates.exponential_system
+
+    def eager_system(g, points):
+        sys = build(g, points)
+        sys.matrix = eager(g, points.xs)
+        return sys
+
+    monkeypatch.setattr(translates, "exponential_system", eager_system)
+    slow = oversampled_expansions(targets, gen, ps, spec.base_domain)
+    for got, want in zip(fast, slow):
+        assert np.linalg.norm(got.alphas - want.alphas) <= 1e-9 * np.linalg.norm(want.alphas)
 
 
 def test_deferred_system_keeps_the_member_checks():

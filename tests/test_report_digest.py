@@ -88,9 +88,13 @@ def test_tree_compared_with_itself_passes(kept, capsys):
     assert "same" in capsys.readouterr().out
 
 
-def test_float_within_tolerance_passes(kept, tmp_path):
-    copy, _ = edited_copy(kept, tmp_path, float, lambda x: x * (1 + 1e-11) + 1e-14)
+def test_float_within_tolerance_passes(kept, tmp_path, capsys):
+    copy, rel = edited_copy(kept, tmp_path, float, lambda x: x * (1 + 1e-11) + 1e-14)
     assert load_tool().main(["--compare", str(kept), str(copy)]) == 0
+    # the one edited float is the largest deviation, named by its file and key path
+    keys = first_value(json.loads((kept / rel).read_text()), float)
+    where = "/".join(map(str, (rel, *keys)))
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f" at {where}")
 
 
 def test_float_beyond_tolerance_fails(kept, tmp_path, capsys):

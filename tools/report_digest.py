@@ -29,8 +29,10 @@ its sidecar to ``DIR/<name>.csv`` and the exit codes to
 
 passes (exit 0) only if both trees hold the same files, the same exit codes
 and the same non-float values, and every float, CSV cells included, is
-within max(1e-9 * max(|a|, |b|), 1e-12) of its counterpart.  Otherwise it
-exits 1 and names the first offending path.
+within max(1e-9 * max(|a|, |b|), 1e-12) of its counterpart: its relative
+deviation |a - b| / max(|a|, |b|, 1e-3) is at most 1e-9.  A pass prints the
+largest relative deviation and the path where it occurs; a failure exits 1
+and names the first offending path.
 """
 
 from __future__ import annotations
@@ -97,23 +99,37 @@ def _run(main, name: str, workdir: Path, argv: list, report: str, keep: Path | N
     return code
 
 
-def _differ(a, b, where: str) -> str | None:
+class _Worst:
+    """The largest relative float deviation seen so far, and where."""
+
+    deviation = 0.0
+    where = None
+
+    def see(self, a: float, b: float, where: str) -> float:
+        dev = abs(a - b) / max(abs(a), abs(b), ABS_TOL / REL_TOL)
+        if dev > self.deviation:
+            self.deviation, self.where = dev, where
+        return dev
+
+
+def _differ(a, b, where: str, worst: _Worst) -> str | None:
     """Location of the first disagreement of two parsed values, or None."""
     if isinstance(a, float) and isinstance(b, float):
         if a == b or (math.isnan(a) and math.isnan(b)):
             return None
-        if abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL):
+        if worst.see(a, b, where) <= REL_TOL:
             return None
         return f"{where}: {a!r} != {b!r}"
     if isinstance(a, dict) and isinstance(b, dict):
         if sorted(a) != sorted(b):
             return f"{where}: keys {sorted(a)} != {sorted(b)}"
-        return next((d for k in sorted(a) if (d := _differ(a[k], b[k], f"{where}/{k}"))), None)
+        return next((d for k in sorted(a) if (d := _differ(a[k], b[k], f"{where}/{k}", worst))),
+                    None)
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return f"{where}: length {len(a)} != {len(b)}"
         return next((d for i, (x, y) in enumerate(zip(a, b))
-                     if (d := _differ(x, y, f"{where}/{i}"))), None)
+                     if (d := _differ(x, y, f"{where}/{i}", worst))), None)
     if type(a) is not type(b) or a != b:
         return f"{where}: {a!r} != {b!r}"
     return None
@@ -142,8 +158,9 @@ def _parsed(path: Path):
     return data
 
 
-def compare(tree_a: Path, tree_b: Path) -> str | None:
-    """The first path (and location) where two kept trees disagree, or None."""
+def compare(tree_a: Path, tree_b: Path, worst: _Worst) -> str | None:
+    """The first path (and location) where two kept trees disagree, or None;
+    ``worst`` records the largest float deviation on the way."""
     files_a = {p.relative_to(tree_a) for p in tree_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(tree_b) for p in tree_b.rglob("*") if p.is_file()}
     only = sorted(files_a ^ files_b)
@@ -152,9 +169,9 @@ def compare(tree_a: Path, tree_b: Path) -> str | None:
     if Path(EXIT_CODES) not in files_a:
         return f"{EXIT_CODES}: missing"
     for rel in [Path(EXIT_CODES), *sorted(files_a - {Path(EXIT_CODES)})]:
-        found = _differ(_parsed(tree_a / rel), _parsed(tree_b / rel), "")
+        found = _differ(_parsed(tree_a / rel), _parsed(tree_b / rel), str(rel), worst)
         if found is not None:
-            return f"{rel}{found}"
+            return found
     return None
 
 
@@ -186,11 +203,16 @@ def main(argv=None) -> int:
                         help=f"job sets to run, from {', '.join(SETS)} (default: all)")
     args = parser.parse_args(argv)
     if args.compare:
-        found = compare(*args.compare)
+        worst = _Worst()
+        found = compare(*args.compare, worst)
         if found is not None:
             print(f"differs: {found}")
             return 1
         print("same within tolerance")
+        if worst.where is None:
+            print("largest relative deviation: 0 (every float is identical)")
+        else:
+            print(f"largest relative deviation: {worst.deviation:.3e} at {worst.where}")
         return 0
     unknown = sorted(set(args.sets) - set(SETS))
     if unknown:
