@@ -24,7 +24,7 @@ import numpy as np
 from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid
 from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
 from .expr import parse_multiplier
-from .framecore import RANK_TOL, RECON_TOL, exponential_system, measure_bounds
+from .framecore import MAX_ITER, RANK_TOL, RECON_TOL, exponential_system, measure_bounds
 from .multiplication import _CHECKS as _SINGLE_CHECKS
 from .multiplication import DEFAULT_LEVELS, check_converse, multiply_system, refine_check
 from .multiplication import refinement_levels
@@ -62,6 +62,9 @@ _CHECK_KINDS = (*_SINGLE_CHECKS, "converse")
 # ``grid.refine`` level) and ``inputs.n_targets``
 MAX_GRID_NODES = 16384
 MAX_TARGETS = 64
+
+# the default ``inputs.residual_tol`` of a passing reconstruct target
+RESIDUAL_TOL = 1e-8
 
 _MULTIPLIER_INPUT = {
     "type": "object",
@@ -227,7 +230,7 @@ _CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "rank_tol": {"type": "number", "exclusiveMinimum": 0},
+                "rank_tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "recon_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
             },
@@ -256,7 +259,7 @@ class RunConfig:
     refine: tuple = DEFAULT_LEVELS
     rank_tol: float = RANK_TOL
     recon_tol: float = RECON_TOL
-    max_iter: int = 2000
+    max_iter: int = MAX_ITER
     seed: int = 0
     report_path: str | None = None
     format: str = "json"
@@ -372,7 +375,7 @@ def _load_generator(grid, spec: dict, cfg: RunConfig):
         return Generator(mult.sample(grid), label="expr"), mult
     if "csv" in spec:
         return load_generator_csv(spec["csv"], grid), None
-    return _bump_generator(_load_bump(spec["bump"]), cfg), None
+    return _bump_generator(_load_bump(spec["bump"]), cfg, "inputs/generator/bump"), None
 
 
 def _load_bump(path) -> BumpSpec:
@@ -391,9 +394,14 @@ def _load_frequencies(path) -> PointSet:
     return ps
 
 
-def _bump_generator(spec: BumpSpec, cfg: RunConfig) -> Generator:
-    """The bump generator sampled on a grid over its dilated band."""
-    return build_bump_generator(spec, _grid(cfg, spec.dilated))
+def _bump_generator(spec: BumpSpec, cfg: RunConfig, key: str) -> Generator:
+    """The bump generator sampled on a grid over its dilated band; a bump it
+    cannot build is a ConfigError naming ``key``, the input that set it."""
+    grid = _grid(cfg, spec.dilated)
+    try:
+        return build_bump_generator(spec, grid)
+    except FrameLabError as exc:
+        raise ConfigError(f"{key}: {exc} (grid/n_per_unit {cfg.n_per_unit})") from exc
 
 
 def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
@@ -522,7 +530,7 @@ def _cmd_translate_check(cfg: RunConfig):
 
 def _cmd_build_generator(cfg: RunConfig):
     spec = _load_bump(cfg.inputs["bump"])
-    gen = _bump_generator(spec, cfg)
+    gen = _bump_generator(spec, cfg, "inputs/bump")
     grid = gen.grid
     rows = [
         [float(w), float(v.real), float(v.imag)]
@@ -541,11 +549,6 @@ def _cmd_build_generator(cfg: RunConfig):
     return results, True, (header, rows)
 
 
-# the ExpansionResult fields each reconstruct target reports
-_TARGET_FIELDS = ("cg_residual", "product_residual", "vanish_outside", "coeff_norm_sq",
-                  "coeff_bound", "coeff_bound_ok")
-
-
 def _cmd_reconstruct(cfg: RunConfig):
     band = load_domain(cfg.inputs["band"])
     ps = _load_frequencies(cfg.inputs["pointset"])
@@ -555,7 +558,7 @@ def _cmd_reconstruct(cfg: RunConfig):
             raise ConfigError(f"inputs/densify/sep_min: {d['sep_min']} exceeds "
                               f"target_gap {d['target_gap']}, so no infill can reach the gap")
         ps = densify(ps, d["target_gap"], d["sep_min"])
-    gen = _bump_generator(BumpSpec(band, cfg.inputs["delta"]), cfg)
+    gen = _bump_generator(BumpSpec(band, cfg.inputs["delta"]), cfg, "inputs/delta")
     grid = gen.grid
     inside = band.contains(grid.nodes)
 
@@ -568,14 +571,13 @@ def _cmd_reconstruct(cfg: RunConfig):
             vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
             targets.append(SampledFunction(grid, vals * inside))
 
-    tol = cfg.inputs.get("residual_tol", 1e-8)
+    tol = cfg.inputs.get("residual_tol", RESIDUAL_TOL)
     expansions = oversampled_expansions(
         targets, gen, ps, band, tol=cfg.recon_tol, max_iter=cfg.max_iter, rank_tol=cfg.rank_tol,
     )
-    runs = [{k: getattr(res, k) for k in _TARGET_FIELDS} for res in expansions]
     passed = all(
-        r["product_residual"] <= tol and r["vanish_outside"] <= tol and r["coeff_bound_ok"]
-        for r in runs
+        r.product_residual <= tol and r.vanish_outside <= tol and r.coeff_bound_ok
+        for r in expansions
     )
     f_hat, res = targets[0], expansions[0]
     results = {
@@ -584,7 +586,7 @@ def _cmd_reconstruct(cfg: RunConfig):
         "exp_lower": res.exp_report.lower,
         "exp_upper": res.exp_report.upper,
         "residual_tol": tol,
-        "targets": runs,
+        "targets": expansions,
         "expansion": res.to_records(),
     }
     rows = [

@@ -80,6 +80,7 @@ __all__ = [
     "RANK_TOL",
     "TIGHT_SPREAD",
     "RECON_TOL",
+    "MAX_ITER",
 ]
 
 # eigenvalues at or below this share of the largest fall outside the rank
@@ -88,6 +89,8 @@ RANK_TOL = 1e-8
 TIGHT_SPREAD = 1e-8
 # the relative residual a reconstruction must reach
 RECON_TOL = 1e-10
+# the conjugate-gradient iterations a reconstruction may take
+MAX_ITER = 2000
 
 # dense Hermitian eigensolves stay reliable and fast up to this order;
 # beyond it only the smaller of S and G is diagonalized
@@ -379,12 +382,6 @@ class FrameReport(Record):
     gram_extremes: tuple | None = None
     spectra_cross_checked: bool = False
 
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        if self.gram_extremes is None:
-            del out["gram_extremes"]
-        return out
-
 
 def _grid_resolution(grid: Grid) -> dict:
     return {
@@ -411,8 +408,8 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
     supplied; frame_for_whole_space needs rank == dim; riesz_sequence needs a
     fully retained Gram spectrum; tight means relative spread <= ``TIGHT_SPREAD``.
     """
-    if not 0 < rank_tol < math.inf:
-        raise ValueError("rank_tol must be positive and finite")
+    if not 0 < rank_tol < 1:
+        raise ValueError("rank_tol must lie in (0, 1)")
     n, k = sys.grid.size, sys.size
     if min(n, k) > _FULL_SPECTRUM_LIMIT:
         raise FrameLabError(
@@ -496,7 +493,7 @@ class ReconstructionResult:
 
 
 def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = RECON_TOL,
-                max_iter: int = 500) -> ReconstructionResult:
+                max_iter: int = MAX_ITER) -> ReconstructionResult:
     """Expansion coefficients c with sum_k c_k psi_k = f, via conjugate
     gradients on the frame operator.
 

@@ -26,7 +26,7 @@ from .errors import FrameLabError, HypothesisError
 from .framecore import (RANK_TOL, TIGHT_SPREAD, FrameReport, SynthesisSystem, exponential_system,
                         measure_bounds)
 from .pointset import PointSet
-from .records import Record, jsonable
+from .records import Record
 
 if TYPE_CHECKING:
     from .translates import Generator
@@ -65,7 +65,7 @@ DEFAULT_LEVELS = (64, 128, 256)  # nodes per unit length of a sweep's grids, coa
 
 
 @dataclass(frozen=True, eq=False)
-class MultiplierProfile:
+class MultiplierProfile(Record):
     """Grid-level magnitude summary of a multiplier.
 
     ``zero_tol`` (``ZERO_TOL``) is relative to the largest magnitude; nodes at
@@ -73,14 +73,16 @@ class MultiplierProfile:
     cells of the surviving nodes (None when everything vanishes).
     """
 
-    phi: SampledFunction
+    phi: SampledFunction = field(repr=False)
     ess_inf: float
     ess_sup: float
     zero_measure_fraction: float
     support_domain: Domain | None
     zero_tol: float
     support_mask: np.ndarray = field(repr=False)
-    ess_inf_support: float = math.inf
+    ess_inf_support: float = field(default=math.inf, repr=False)
+
+    _keys = {"support_domain": "support"}
 
     @property
     def bounded_below_on_grid(self) -> bool:
@@ -228,14 +230,6 @@ class MultCheckReport(Record):
     details: dict
 
     _keys = {"profile": "multiplier", "base_report": "base", "mult_report": "multiplied"}
-
-    def to_dict(self) -> dict:
-        # five of the profile's values; its sampled multiplier and mask stay out
-        p = self.profile
-        multiplier = {"ess_inf": p.ess_inf, "ess_sup": p.ess_sup, "zero_tol": p.zero_tol,
-                      "zero_measure_fraction": p.zero_measure_fraction,
-                      "support": p.support_domain}
-        return {**super().to_dict(), "multiplier": jsonable(multiplier)}
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,6 @@ class DensityReport(Record):
             if lo > hi:
                 raise ValueError("nu_minus must not exceed nu_plus")
 
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        if self.scan_spacing is None:
-            del out["scan_spacing"]
-        return out
-
 
 def write_density_csv(report: DensityReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:

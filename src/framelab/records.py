@@ -1,6 +1,7 @@
 """Reports as JSON: one scalar rule, the coercer into strict-JSON values and
 the report writer built on it, and the ``Record`` base whose JSON form is
-its fields."""
+its fields: all but those declared ``repr=False`` and, while they hold
+None, those whose default is None."""
 
 from __future__ import annotations
 
@@ -93,8 +94,9 @@ def _write(obj, out: list, nl: str) -> None:
     text = _atom(obj)
     if text is not None:
         out.append(text)
-    elif isinstance(obj, dict):
-        items = sorted({str(k): v for k, v in obj.items()}.items())
+    elif isinstance(obj, (dict, Record)):
+        pairs = obj.items() if isinstance(obj, dict) else obj._pairs()
+        items = sorted({str(k): v for k, v in pairs}.items())
         if not items:
             out.append("{}")
             return
@@ -140,18 +142,21 @@ def dumps(obj) -> str:
 
 
 class Record:
-    """Base of the report dataclasses: a report's JSON keys are its fields.
-
-    ``to_dict`` maps every ``repr=True`` field through ``jsonable``, keyed by
-    its name or by its entry in ``_keys``; ``repr=False`` fields (arrays,
-    sampled functions) stay out.
+    """Base of the report dataclasses: a report's JSON keys are its fields,
+    each under its name or its entry in ``_keys``, by two rules: a
+    ``repr=False`` field (arrays, sampled functions) stays out, and so does a
+    field whose default is None while it holds None.  ``to_dict`` and the
+    report writer both walk ``_pairs``.
     """
 
     _keys: ClassVar[dict] = {}
 
+    def _pairs(self):
+        """The (key, raw value) pairs of the JSON form, by the two rules."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.repr and not (value is None and f.default is None):
+                yield self._keys.get(f.name, f.name), value
+
     def to_dict(self) -> dict:
-        return {
-            self._keys.get(f.name, f.name): jsonable(getattr(self, f.name))
-            for f in fields(self)
-            if f.repr
-        }
+        return {k: jsonable(v) for k, v in self._pairs()}

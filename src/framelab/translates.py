@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .domain import Domain, Grid, SampledFunction, dilate
 from .domain import make_grid
 from .errors import FrameLabError, HypothesisError, input_file
 from .framecore import (
+    MAX_ITER,
     RANK_TOL,
     RECON_TOL,
     FrameReport,
@@ -283,27 +284,28 @@ def obstruction_trend(dom: Domain, hat_fn, levels=DEFAULT_LEVELS,
 
 
 @dataclass(frozen=True, eq=False)
-class ExpansionResult:
+class ExpansionResult(Record):
     """Oversampled expansion f(x) = sum_k alpha_k g(x - lambda_k).
 
     ``reconstruction`` is the assembled spectrum (sum_k alpha_k e_k) * ghat;
     ``cg_residual`` is the solver residual on the exponential system;
     ``product_residual`` is the reconstruction's defect against fhat;
     ``vanish_outside`` is the mass the exponential sum leaves outside the
-    inner band, where the coefficients must conspire to cancel.
+    inner band, where the coefficients must conspire to cancel.  The JSON
+    form is the six per-target values.
     """
 
-    labels: np.ndarray
-    alphas: np.ndarray
-    reconstruction: np.ndarray
+    labels: np.ndarray = field(repr=False)
+    alphas: np.ndarray = field(repr=False)
+    reconstruction: np.ndarray = field(repr=False)
     cg_residual: float
     product_residual: float
     vanish_outside: float
     coeff_norm_sq: float
     coeff_bound: float
     coeff_bound_ok: bool
-    exp_report: FrameReport
-    band: Domain
+    exp_report: FrameReport = field(repr=False)
+    band: Domain = field(repr=False)
 
     def to_records(self) -> list:
         return [
@@ -313,7 +315,7 @@ class ExpansionResult:
 
 
 def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
-                          band: Domain, tol: float = RECON_TOL, max_iter: int = 2000,
+                          band: Domain, tol: float = RECON_TOL, max_iter: int = MAX_ITER,
                           rank_tol: float = RANK_TOL) -> ExpansionResult:
     """Expand a function bandlimited to ``band`` over translates of a plateau
     generator along an oversampled point set.
@@ -327,7 +329,7 @@ def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
 
 
 def oversampled_expansions(f_hats, gen: Generator, ps: PointSet, band: Domain,
-                           tol: float = RECON_TOL, max_iter: int = 2000,
+                           tol: float = RECON_TOL, max_iter: int = MAX_ITER,
                            rank_tol: float = RANK_TOL) -> list:
     """``oversampled_expansion`` of every target in ``f_hats``, in order.
 

@@ -71,6 +71,15 @@ def test_parse_config_names_the_offending_field(workdir):
     )
     with pytest.raises(ConfigError, match="tolerances/rank_tol"):
         parse_config(cfg_path)
+    # at rank_tol >= 1 no eigenvalue is retained, so every frame check would fail
+    for rank_tol in (1.0, 2.0):
+        cfg_path = write_json(
+            workdir / "cfg.json",
+            {"command": "gap", "inputs": {"pointset": "p.csv"},
+             "tolerances": {"rank_tol": rank_tol}},
+        )
+        with pytest.raises(ConfigError, match="tolerances/rank_tol"):
+            parse_config(cfg_path)
 
 
 def test_parse_config_rejects_unsorted_refine(workdir):
@@ -561,6 +570,46 @@ def test_reconstruct_with_sep_min_above_target_gap_is_exit_2(workdir, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "inputs/densify/sep_min" in err
+    assert not (workdir / "report.json").exists()
+
+
+def test_build_generator_with_overlapping_bands_is_exit_2(workdir, capsys):
+    bump = write_json(workdir / "bump.json",
+                      {"intervals": [[-0.4, 0.0], [0.05, 0.4]], "delta": 0.05})
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": "build-generator",
+            "inputs": {"bump": bump, "csv_out": str(workdir / "gen.csv")},
+            "grid": {"n_per_unit": 320},
+        },
+    )
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "inputs/bump" in err and "transition bands overlap" in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["bump.json", "cfg.json"]
+    # the same bump as a translate-check generator
+    dom = write_json(workdir / "dom.json", {"intervals": E_INTERVALS})
+    pts = write_points(workdir / "pts.csv", [0.0, 1.0, 2.0])
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {"command": "translate-check",
+         "inputs": {"domain": dom, "pointset": pts, "generator": {"bump": bump}},
+         "grid": {"n_per_unit": 320}},
+    )
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    assert "inputs/generator/bump" in capsys.readouterr().err
+    assert not (workdir / "report.json").exists()
+
+
+def test_reconstruct_with_delta_too_narrow_for_the_grid_is_exit_2(workdir, capsys):
+    cfg = _reconstruct(workdir)
+    cfg["inputs"]["delta"] = 0.01
+    cfg_path = write_json(workdir / "cfg.json", cfg)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "inputs/delta" in err and "grid/n_per_unit 320" in err
+    assert "need at least 16" in err
     assert not (workdir / "report.json").exists()
 
 

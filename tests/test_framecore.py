@@ -152,8 +152,9 @@ def test_bessel_bound_flag():
 
 def test_measure_bounds_input_validation():
     g = make_grid(Domain([(-0.5, 0.5)]), 8)
-    with pytest.raises(ValueError):
-        measure_bounds(dft_base(g), rank_tol=0.0)
+    for rank_tol in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError):
+            measure_bounds(dft_base(g), rank_tol=rank_tol)
 
 
 def test_measure_bounds_budget_guard():

@@ -3,9 +3,12 @@ the report writer, whose text must equal ``json.dumps`` of ``jsonable``.
 
 ``OuterFrameReport`` and ``ConvolutionReport`` are pinned here because no CLI
 command writes them, so ``test_report_shape.py`` never sees their keys.
-Fields declared ``repr=False`` hold arrays and sampled functions and stay out.
+Fields declared ``repr=False`` hold arrays and sampled functions and stay out;
+a field whose default is None stays out while it holds None.  No report class
+overrides ``to_dict``, so those two rules are the whole of every JSON form.
 """
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,12 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import framelab
 from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.framecore import exponential_system, measure_bounds
-from framelab.multiplication import profile_refinement
+from framelab.multiplication import profile_multiplier, profile_refinement
+from framelab.pointset import PointSet, beurling_density
 from framelab.records import Record, dumps, jsonable
 from framelab.translates import (
     BumpSpec,
+    ExpansionResult,
     Generator,
     build_bump_generator,
     convolution_closure_check,
@@ -80,6 +86,51 @@ def test_unrepresented_fields_stay_out():
         "levels", "ess_inf", "ess_sup", "ess_inf_support", "bounded_below",
         "bounded_below_on_support", "sup_stable", "stability",
     }
+
+
+def test_no_report_class_overrides_to_dict():
+    classes = {cls for _, mod in inspect.getmembers(framelab, inspect.ismodule)
+               for _, cls in inspect.getmembers(mod, inspect.isclass)
+               if issubclass(cls, Record) and cls is not Record
+               and cls.__module__.startswith("framelab.")}
+    assert {"FrameReport", "MultCheckReport", "MultiplierProfile", "DensityReport",
+            "ExpansionResult"} <= {cls.__name__ for cls in classes}
+    assert [cls.__name__ for cls in classes if "to_dict" in vars(cls)] == []
+
+
+def test_multiplier_profile_keys():
+    g = make_grid(E, 16)
+    d = profile_multiplier(g, SampledFunction(g, g.nodes + 0j)).to_dict()
+    assert set(d) == {"ess_inf", "ess_sup", "zero_measure_fraction", "support", "zero_tol"}
+
+
+def test_expansion_result_keys():
+    g = make_grid(E, 16)
+    res = ExpansionResult(
+        labels=np.zeros(3), alphas=np.zeros(3, complex), reconstruction=np.zeros(g.size, complex),
+        cg_residual=1e-12, product_residual=1e-12, vanish_outside=1e-13, coeff_norm_sq=1.0,
+        coeff_bound=2.0, coeff_bound_ok=True,
+        exp_report=measure_bounds(exponential_system(g, matched_lattice(g))), band=E,
+    )
+    assert res.to_dict() == {"cg_residual": 1e-12, "product_residual": 1e-12,
+                             "vanish_outside": 1e-13, "coeff_norm_sq": 1.0, "coeff_bound": 2.0,
+                             "coeff_bound_ok": True}
+
+
+def test_none_default_fields_stay_out_only_while_none():
+    g = make_grid(E, 32)
+    narrow = measure_bounds(exponential_system(g, PointSet.from_1d(np.arange(8.0))))
+    wide = measure_bounds(exponential_system(g, PointSet.from_1d(np.arange(64.0))))
+    assert narrow.to_dict()["gram_extremes"] == list(narrow.gram_extremes)
+    assert wide.gram_extremes is None and "gram_extremes" not in wide.to_dict()
+
+    line = beurling_density(PointSet.from_1d(np.arange(21.0), box=(0.0, 20.0)), [2.5])
+    assert line.scan_spacing is None and "scan_spacing" not in line.to_dict()
+    k = np.arange(9, dtype=float)
+    plane = PointSet(np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2),
+                     [(0, 8), (0, 8)])
+    d = beurling_density(plane, [2.0]).to_dict()
+    assert d["scan_spacing"] > 0 and d["extrapolated"] is not None
 
 
 # --- the report writer against json.dumps of jsonable -------------------------------
