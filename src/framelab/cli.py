@@ -38,7 +38,7 @@ from .pointset import (
     load_pointset,
     separation,
 )
-from .records import dumps
+from .records import Table, dumps
 from .translates import (
     BumpSpec,
     Generator,
@@ -348,6 +348,11 @@ def _atomic_write(path: str, fill) -> None:
         raise
 
 
+def _write_csv(path: str, table: Table) -> None:
+    """Write ``table`` as CSV, its keys then its rows, through ``_atomic_write``."""
+    _atomic_write(path, lambda fh: csv.writer(fh).writerows([table.keys, *table.rows()]))
+
+
 def _check_nodes(dom, cfg: RunConfig, sweep: bool = False) -> None:
     """A ConfigError naming the key when a grid of ``dom`` at ``n_per_unit``
     (or, for a sweep, at any refinement level) would pass MAX_GRID_NODES."""
@@ -416,12 +421,11 @@ def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
         levels=cfg.refine,
         rank_tol=cfg.rank_tol,
     )
-    rows = [[lv, m] for lv, m in zip(sweep.levels, sweep.metric_trend)]
-    return sweep, (["level", "metric"], rows)
+    return sweep, Table(("level", "metric"), sweep.levels, sweep.metric_trend)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results dict, passed, plot (header, rows)|None)
+# command handlers: each returns (results dict, passed, plot Table|None)
 
 
 def _separation(ps: PointSet, path: str) -> float:
@@ -455,16 +459,7 @@ def _cmd_density(cfg: RunConfig):
             ps, cfg.inputs["a"], cfg.inputs["r"])
     if "r_ball" in cfg.inputs:
         results["ball_predicate"] = beurling_ball_frame_predicate(ps, cfg.inputs["r_ball"])
-    rows = list(
-        zip(
-            report.r_values,
-            report.nu_minus,
-            report.nu_plus,
-            report.d_minus,
-            report.d_plus,
-        )
-    )
-    return results, True, (["r", "nu_minus", "nu_plus", "d_minus", "d_plus"], rows)
+    return results, True, report.table
 
 
 def _cmd_gap(cfg: RunConfig):
@@ -473,8 +468,7 @@ def _cmd_gap(cfg: RunConfig):
     sep = _separation(ps, path)
     details = gap_details(ps)
     results = {"separation": sep, "gap": details}
-    rows = [[details["value"], sep]]
-    return results, True, (["gap", "separation"], rows)
+    return results, True, Table(("gap", "separation"), [details["value"]], [sep])
 
 
 def _cmd_frame_bounds(cfg: RunConfig):
@@ -482,8 +476,7 @@ def _cmd_frame_bounds(cfg: RunConfig):
     ps = _load_frequencies(cfg.inputs["pointset"])
     grid = _grid(cfg, dom)
     report = measure_bounds(exponential_system(grid, ps), cfg.rank_tol)
-    rows = [[i, float(v)] for i, v in enumerate(report.spectrum)]
-    return {"report": report}, True, (["index", "eigenvalue"], rows)
+    return {"report": report}, True, report.table
 
 
 def _cmd_mult_check(cfg: RunConfig):
@@ -531,13 +524,8 @@ def _cmd_translate_check(cfg: RunConfig):
 def _cmd_build_generator(cfg: RunConfig):
     spec = _load_bump(cfg.inputs["bump"])
     gen = _bump_generator(spec, cfg, "inputs/bump")
-    grid = gen.grid
-    rows = [
-        [float(w), float(v.real), float(v.imag)]
-        for w, v in zip(grid.nodes, gen.hat.values)
-    ]
-    header = ["omega", "re", "im"]
-    _atomic_write(cfg.inputs["csv_out"], lambda fh: csv.writer(fh).writerows([header, *rows]))
+    grid, table = gen.grid, gen.table
+    _write_csv(cfg.inputs["csv_out"], table)
     on_base = spec.base_domain.contains(grid.nodes)
     results = {
         "bump": spec,
@@ -546,7 +534,7 @@ def _cmd_build_generator(cfg: RunConfig):
         "max_dev_on_base": float(np.abs(gen.hat.values[on_base] - 1.0).max()),
         "csv_out": cfg.inputs["csv_out"],
     }
-    return results, True, (header, rows)
+    return results, True, table
 
 
 def _cmd_reconstruct(cfg: RunConfig):
@@ -587,13 +575,11 @@ def _cmd_reconstruct(cfg: RunConfig):
         "exp_upper": res.exp_report.upper,
         "residual_tol": tol,
         "targets": expansions,
-        "expansion": res.to_records(),
+        "expansion": res.table,
     }
-    rows = [
-        [float(w), float(t.real), float(t.imag), float(v.real), float(v.imag)]
-        for w, t, v in zip(grid.nodes, f_hat.values, res.reconstruction)
-    ]
-    return results, passed, (["omega", "re_target", "im_target", "re_recon", "im_recon"], rows)
+    return results, passed, Table(("omega", "re_target", "im_target", "re_recon", "im_recon"),
+                                  grid.nodes, f_hat.values.real, f_hat.values.imag,
+                                  res.reconstruction.real, res.reconstruction.imag)
 
 
 def _cmd_union_check(cfg: RunConfig):
@@ -610,18 +596,13 @@ def _cmd_union_check(cfg: RunConfig):
     _check_nodes(spec.domain, cfg, sweep)
     if sweep:
         report = union_sweep(spec, levels=cfg.refine, rank_tol=cfg.rank_tol)
-        rows = [
-            [lv, p, lo]
-            for lv, p, lo in zip(report.levels, report.p_hats, report.lowers)
-        ]
-        return {"sweep": report}, report.consistent, (["level", "p_hat", "lower"], rows)
+        plot = Table(("level", "p_hat", "lower"), report.levels, report.p_hats, report.lowers)
+        return {"sweep": report}, report.consistent, plot
     report = union_check(spec, cfg.n_per_unit, cfg.rank_tol)
-    rows = [[report.p_hat, report.P_hat, report.total_report.lower, report.total_report.upper]]
-    return (
-        {"union": report},
-        report.consistent,
-        (["p_hat", "P_hat", "lower", "upper"], rows),
-    )
+    total = report.total_report
+    plot = Table(("p_hat", "P_hat", "lower", "upper"),
+                 [report.p_hat], [report.P_hat], [total.lower], [total.upper])
+    return {"union": report}, report.consistent, plot
 
 
 def _cmd_corollary_demo(cfg: RunConfig):
@@ -648,13 +629,9 @@ def _cmd_corollary_demo(cfg: RunConfig):
         "hat": hat_report,
         "control": control_report,
     }
-    rows = [
-        [lv, h, c]
-        for lv, h, c in zip(
-            hat_report.levels, hat_report.lower_bounds, control_report.lower_bounds
-        )
-    ]
-    return results, passed, (["level", "hat_lower", "control_lower"], rows)
+    plot = Table(("level", "hat_lower", "control_lower"), hat_report.levels,
+                 hat_report.lower_bounds, control_report.lower_bounds)
+    return results, passed, plot
 
 
 _HANDLERS = {
@@ -701,8 +678,7 @@ def run(cfg: RunConfig) -> int:
             _atomic_write(cfg.report_path, lambda fh: fh.write(text))
             if cfg.format == "csv" and plot is not None:
                 base, _ = os.path.splitext(cfg.report_path)
-                header, rows = plot
-                _atomic_write(base + ".csv", lambda fh: csv.writer(fh).writerows([header, *rows]))
+                _write_csv(base + ".csv", plot)
         else:
             sys.stdout.write(text)
     except OSError as exc:

@@ -310,8 +310,17 @@ class ExprMultiplier:
         return cls(source=print_expr(ast), ast=ast)
 
     def __call__(self, t) -> np.ndarray:
+        """The profile at ``t``; a value that overflows or is undefined
+        (inf or NaN) is an ExprError naming the first ``t`` that gives one."""
         arr = np.asarray(t, dtype=float)
-        return _eval(self.ast, np.atleast_1d(arr)).reshape(arr.shape)
+        flat = np.atleast_1d(arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _eval(self.ast, flat)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            at = float(flat.ravel()[np.argmax(bad.ravel())])
+            raise ExprError(f"expression {self.source!r} is not finite at t = {at!r}")
+        return values.reshape(arr.shape)
 
     def sample(self, grid: Grid) -> SampledFunction:
         return SampledFunction(grid, self(grid.nodes))

@@ -51,7 +51,6 @@ bytes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,7 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .domain import Grid, SampledFunction
 from .errors import FrameLabError, GridMismatchError, NotInSpanError, ReconstructionError
 from .pointset import PointSet
-from .records import Record
+from .records import Record, Table, write_csv
 
 __all__ = [
     "SynthesisSystem",
@@ -168,10 +167,6 @@ class SynthesisSystem:
 
     def member(self, k: int) -> SampledFunction:
         return SampledFunction(self.grid, self.matrix[:, k])
-
-    @property
-    def members(self) -> list:
-        return [self.member(k) for k in range(self.size)]
 
     @cached_property
     def weighted(self) -> np.ndarray:
@@ -382,6 +377,11 @@ class FrameReport(Record):
     gram_extremes: tuple | None = None
     spectra_cross_checked: bool = False
 
+    @property
+    def table(self) -> Table:
+        """The spectrum as (index, eigenvalue) rows, largest eigenvalue first."""
+        return Table(("index", "eigenvalue"), range(self.spectrum.size), self.spectrum)
+
 
 def _grid_resolution(grid: Grid) -> dict:
     return {
@@ -478,11 +478,7 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
 
 
 def write_spectrum_csv(report: FrameReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, v in enumerate(report.spectrum):
-            writer.writerow([i, repr(float(v))])
+    write_csv(path, report.table)
 
 
 @dataclass(frozen=True)

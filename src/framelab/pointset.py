@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameLabError, input_file
-from .records import Record
+from .records import Record, Table, write_csv
 
 __all__ = [
     "PointSet",
@@ -269,13 +269,15 @@ class DensityReport(Record):
             if lo > hi:
                 raise ValueError("nu_minus must not exceed nu_plus")
 
+    @property
+    def table(self) -> Table:
+        """The densities as one (r, nu_minus, nu_plus, d_minus, d_plus) row per radius."""
+        return Table(("r", "nu_minus", "nu_plus", "d_minus", "d_plus"), self.r_values,
+                     self.nu_minus, self.nu_plus, self.d_minus, self.d_plus)
+
 
 def write_density_csv(report: DensityReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "nu_minus", "nu_plus", "d_minus", "d_plus"])
-        for row in zip(report.r_values, report.nu_minus, report.nu_plus, report.d_minus, report.d_plus):
-            writer.writerow(list(row))
+    write_csv(path, report.table)
 
 
 def _window_counts_1d(xs: np.ndarray, box, r: float) -> tuple[int, int]:

@@ -1,18 +1,22 @@
 """Reports as JSON: one scalar rule, the coercer into strict-JSON values and
-the report writer built on it, and the ``Record`` base whose JSON form is
-its fields: all but those declared ``repr=False`` and, while they hold
-None, those whose default is None."""
+the report writer built on it, the ``Record`` base whose JSON form is its
+fields (all but those declared ``repr=False`` and, while they hold None,
+those whose default is None), and the ``Table``: named columns of equal
+length whose JSON form is the list of its row dicts and whose CSV form is its
+keys, then its rows."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
 import numpy as np
 
-__all__ = ["Record", "dumps", "jsonable"]
+__all__ = ["Record", "Table", "dumps", "jsonable", "write_csv"]
 
 _NOT_SCALAR = object()
 
@@ -30,12 +34,37 @@ def _scalar(obj):
     return _NOT_SCALAR
 
 
+class Table:
+    """Named columns of equal length under distinct str keys; numpy columns
+    become Python scalars once, by ``tolist``.  ``rows()`` yields the CSV body."""
+
+    def __init__(self, keys, *columns):
+        self.keys = tuple(map(str, keys))
+        self.columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+        lengths = [len(c) for c in self.columns]
+        if not len(set(self.keys)) == len(self.keys) == len(lengths) or len(set(lengths)) > 1:
+            raise ValueError(f"a table needs one column per distinct key, all of one length: "
+                             f"got keys {self.keys} and column lengths {lengths}")
+
+    def rows(self):
+        return zip(*self.columns)
+
+
+def write_csv(path, table: Table) -> None:
+    """Write ``table`` to ``path`` as CSV: its keys, then its rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([table.keys, *table.rows()])
+
+
 def jsonable(obj):
     """Recursively coerce report values into strict-JSON types.
 
-    Non-finite floats become None; an object with a ``to_dict`` becomes that
-    dict, which is strict JSON already.
+    Non-finite floats become None; a ``Table`` becomes the list of its row
+    dicts; an object with a ``to_dict`` becomes that dict, which is strict
+    JSON already.
     """
+    if isinstance(obj, Table):
+        return [{k: jsonable(v) for k, v in zip(obj.keys, row)} for row in obj.rows()]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -64,36 +93,25 @@ def _atom(obj):
     return int.__repr__(v) if isinstance(v, int) else float.__repr__(v)
 
 
-def _rows(rows: list, nl: str):
-    """The items at indent ``nl`` of a list of non-empty dicts that share one
-    set of str keys and hold only atoms, through one format string; None for
-    any other list."""
-    first = rows[0]
-    if type(first) is not dict or not first or any(type(k) is not str for k in first):
-        return None
-    if any(type(row) is not dict or row.keys() != first.keys() for row in rows):
-        return None
-    keys = sorted(first)
-    values = [row[k] for row in rows for k in keys]
-    # finite floats sum to a finite value; a sum that overflows only costs
-    # this shortcut
-    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
-        atoms = list(map(float.__repr__, values))
-    else:
-        atoms = [_atom(v) for v in values]
-        if None in atoms:
-            return None
-    cell = nl + "  "
-    row = "{" + cell + ("," + cell).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
-    return ("," + nl).join([row] * len(rows)) % tuple(atoms)
-
-
 def _write(obj, out: list, nl: str) -> None:
     """Append the JSON text of ``jsonable(obj)`` at the indent ``nl`` to ``out``."""
     text = _atom(obj)
     if text is not None:
         out.append(text)
+    elif isinstance(obj, Table):
+        keys = sorted(obj.keys)
+        columns = [obj.columns[obj.keys.index(k)] for k in keys]
+        # a table of finite floats takes one format string; finite floats sum
+        # to a finite value, and a sum that overflows only costs this shortcut
+        if not (columns and columns[0] and all(type(v) is float for c in columns for v in c)
+                and math.isfinite(sum(map(sum, columns)))):
+            _write(jsonable(obj), out, nl)
+            return
+        inner, cell = nl + "  ", nl + "    "
+        row = "{" + cell + ("," + cell).join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %r" for k in keys) + inner + "}"
+        values = tuple(chain.from_iterable(zip(*columns)))
+        out.append("[" + inner + ("," + inner).join([row] * len(columns[0])) % values + nl + "]")
     elif isinstance(obj, (dict, Record)):
         pairs = obj.items() if isinstance(obj, dict) else obj._pairs()
         items = sorted({str(k): v for k, v in pairs}.items())
@@ -112,10 +130,6 @@ def _write(obj, out: list, nl: str) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        items = _rows(obj, inner)
-        if items is not None:
-            out.append("[" + inner + items + nl + "]")
-            return
         for i, v in enumerate(obj):
             out.append(("[" if i == 0 else ",") + inner)
             _write(v, out, inner)

@@ -44,7 +44,7 @@ from .multiplication import (
     within_envelope,
 )
 from .pointset import PointSet
-from .records import Record
+from .records import Record, Table, jsonable, write_csv
 
 __all__ = [
     "Generator",
@@ -96,13 +96,15 @@ class Generator:
     def norm_sq(self) -> float:
         return self.hat.norm_sq
 
+    @property
+    def table(self) -> Table:
+        """The spectrum as (omega, re, im) rows, one per grid node."""
+        values = self.hat.values
+        return Table(("omega", "re", "im"), self.grid.nodes, values.real, values.imag)
+
 
 def save_generator_csv(gen: Generator, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "re", "im"])
-        for w, v in zip(gen.grid.nodes, gen.hat.values):
-            writer.writerow([repr(float(w)), repr(float(v.real)), repr(float(v.imag))])
+    write_csv(path, gen.table)
 
 
 def load_generator_csv(path, grid: Grid, label: str = "h") -> Generator:
@@ -307,11 +309,13 @@ class ExpansionResult(Record):
     exp_report: FrameReport = field(repr=False)
     band: Domain = field(repr=False)
 
+    @property
+    def table(self) -> Table:
+        """The expansion as (lambda, re, im) rows, one per point."""
+        return Table(("lambda", "re", "im"), self.labels, self.alphas.real, self.alphas.imag)
+
     def to_records(self) -> list:
-        return [
-            {"lambda": float(l), "re": float(a.real), "im": float(a.imag)}
-            for l, a in zip(self.labels, self.alphas)
-        ]
+        return jsonable(self.table)
 
 
 def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,

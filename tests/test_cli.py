@@ -907,6 +907,38 @@ def test_planar_point_sets_exit_2_where_frequencies_are_needed(workdir, capsys, 
         assert "plane.csv: bad point set" in err and "1-D" in err
 
 
+def _overflowing_inputs(workdir, command):
+    """Minimal inputs of ``command`` whose one expression overflows on [0, 1]."""
+    expr = "exp(1000 * t)"
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    pts = write_points(workdir / "pts.csv", np.arange(32) - 16.0)
+    inputs = {
+        "mult-check": {"domain": dom, "pointset": pts, "multiplier": {"expr": expr},
+                       "sweep": False},
+        "mult-check-sweep": {"domain": dom, "pointset": pts, "multiplier": {"expr": expr},
+                             "sweep": True},
+        "translate-check": {"domain": dom, "pointset": pts, "generator": {"expr": expr}},
+        "union-check": {"pointset": pts, "parts": [{"intervals": [[0.0, 1.0]], "expr": expr}]},
+        "corollary-demo": {"domain": dom, "hat_expr": expr},
+    }[command]
+    return {"command": command.removesuffix("-sweep"), "inputs": inputs,
+            "grid": {"n_per_unit": 32, "refine": [16, 32]}}
+
+
+@pytest.mark.parametrize(
+    "command", ["mult-check", "mult-check-sweep", "translate-check", "union-check",
+                "corollary-demo"],
+)
+def test_expressions_that_overflow_are_exit_2(workdir, capsys, command):
+    """An expression whose samples overflow is bad input, not a numerical failure."""
+    cfg_path = write_json(workdir / "cfg.json", _overflowing_inputs(workdir, command))
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert "not finite at t = " in err
+    assert not (workdir / "report.json").exists()
+
+
 def test_run_config_validates_refine_programmatically():
     with pytest.raises(ConfigError, match="strictly increasing"):
         RunConfig(command="gap", refine=(64, 64))

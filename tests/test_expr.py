@@ -160,3 +160,10 @@ def test_multiplier_source_is_canonical():
     assert phi.source == "2.0 + sin(2.0 * pi * t)"
     again = parse_multiplier(phi.source)
     assert again.ast == phi.ast and again.source == phi.source
+
+
+@pytest.mark.parametrize("src", ["exp(1000 * t)", "1e308 * 1e308"])
+def test_values_that_overflow_are_expr_errors(src):
+    phi = parse_multiplier(src)
+    with pytest.raises(ExprError, match=r"is not finite at t = 1\.0\b"):
+        phi(np.array([1.0, 0.5]))

@@ -24,7 +24,7 @@ from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.framecore import exponential_system, measure_bounds
 from framelab.multiplication import profile_multiplier, profile_refinement
 from framelab.pointset import PointSet, beurling_density
-from framelab.records import Record, dumps, jsonable
+from framelab.records import Record, Table, dumps, jsonable
 from framelab.translates import (
     BumpSpec,
     ExpansionResult,
@@ -183,6 +183,28 @@ def row_lists(draw, cells):
     return rows
 
 
+CELLS = st.one_of(FLOATS, st.integers(), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def tables(draw):
+    """Tables under distinct keys in drawn order, ``%`` and non-ASCII ones
+    among them, with zero to four rows; each column is finite floats (the
+    writer's shortcut), mixed float, int, NaN and +-inf cells, or numpy."""
+    keys = draw(st.lists(NAMES | st.sampled_from(["z", "é", "漢%s", "a"]), max_size=4,
+                         unique=True))
+    n = draw(st.integers(0, 4))
+    columns = []
+    for _ in keys:
+        kind = draw(st.sampled_from(["finite", "cells", "numpy"]))
+        if kind == "numpy":
+            columns.append(draw(hnp.arrays(st.sampled_from([np.float64, np.int64]), n)))
+        else:
+            cells = st.floats(allow_nan=False, allow_infinity=False) if kind == "finite" else CELLS
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return Table(keys, *columns)
+
+
 def containers(children):
     return st.one_of(
         st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
@@ -191,7 +213,7 @@ def containers(children):
     )
 
 
-VALUES = st.recursive(SCALARS | ARRAYS, containers, max_leaves=12)
+VALUES = st.recursive(SCALARS | ARRAYS | tables(), containers, max_leaves=12)
 
 
 @settings(max_examples=300)
@@ -206,6 +228,13 @@ def test_writer_matches_on_colliding_and_empty_values():
                 [{"a": 1.0, "b": math.nan}, {"a": -math.inf, "b": 1e308}],
                 Tagged("t", {2: [], -1: {}}), [[1.5, float("inf")], [1e308, 1e308]]]:
         assert dumps(obj) == reference(obj)
+
+
+def test_table_columns_must_match_the_keys_in_number_and_length():
+    with pytest.raises(ValueError, match="one length"):
+        Table(("a", "b"), [1.0, 2.0], np.zeros(3))
+    with pytest.raises(ValueError, match="distinct key"):
+        Table(("a", "a"), [1.0], [2.0])
 
 
 class Opaque:
