@@ -24,6 +24,25 @@ as does any modulus even about the band's centre; a product with an
 asymmetric modulus stays complex.  Every other system (multi-interval grids,
 raw member matrices) is formed densely.
 
+The Gram G = U^H U of such a system has a real form too.  With c the centre
+of the grid's nodes, scaling column k of U by e^{2 pi i c lambda_k} gives V
+with V[j, k] = sqrt(h) phi_j e^{-2 pi i (t_j - c) lambda_k}, so V^H V =
+P^H G P for the unitary diagonal P of those phases, and (V^H V)[k, l] = h
+sum_j |phi_j|^2 e^{2 pi i (t_j - c)(lambda_k - lambda_l)}: the phases of phi
+cancel, and since the nodes t_j - c are symmetric about 0 the sum is real
+whenever |phi|^2 is too.  Re(A^H A) = [Re A; Im A]^T [Re A; Im A] for any
+complex A, so the Gram is formed as one real product of the stacked 2n x K
+matrix and diagonalized by a real eigensolve.  One modulus rule
+(``_mirrored``) sends a product to the real form of S and of G alike; every
+other Gram (an asymmetric modulus, multi-interval grids, raw member
+matrices) is the complex U^H U.  The S/G cross-check stays independent: S
+comes from the Toeplitz column, G from the member matrix.
+
+A product whose S or G is not finite in double precision (a multiplier such
+as exp(400 t) on [0, 1]) is formed with numpy's overflow warnings silenced
+and then rejected as a ``FrameLabError`` that names the overflow, on every
+route alike.
+
 ``reconstruct`` applies the same operator in each conjugate-gradient step
 (``_apply_frame_operator``): T embeds in a 2n circulant with first column
 [c, 0, conj(c[:0:-1])], so T p costs two length-2n FFTs, O(n log n) instead
@@ -96,7 +115,7 @@ MAX_ITER = 2000
 _FULL_SPECTRUM_LIMIT = 1024
 
 # a multiplier modulus within this many ulps of its largest value of its own
-# reversal is solved in the real form (see ``_frame_operator``)
+# reversal is solved in the real form (see ``_mirrored``)
 _MIRROR_ULPS = 8
 
 
@@ -108,8 +127,9 @@ class SynthesisSystem:
     """
 
     # set only on exponential systems of a uniform one-interval grid and on
-    # their products: the first column of the unmultiplied Toeplitz frame
-    # operator and the multiplier values applied since (None: unmultiplied)
+    # their products, whose labels are their frequencies: the first column of
+    # the unmultiplied Toeplitz frame operator and the multiplier values
+    # applied since (None: unmultiplied)
     _column = None
     _multiplier = None
 
@@ -274,16 +294,26 @@ def _real_form(c: np.ndarray) -> np.ndarray:
     return sliding_window_view(v.real, c.size)[::-1] - sliding_window_view(v.imag, c.size)
 
 
+def _mirrored(phi: np.ndarray) -> np.ndarray | None:
+    """The one modulus rule of the real forms: d = |phi| symmetrized as
+    (d + d[::-1]) / 2 when d is its own reversal to within ``_MIRROR_ULPS``
+    ulps of max d, otherwise None."""
+    d = np.abs(phi)
+    mirror = d[::-1]
+    if np.abs(d - mirror).max() <= _MIRROR_ULPS * np.finfo(float).eps * d.max():
+        return 0.5 * (d + mirror)
+    return None
+
+
 def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
     """A Hermitian matrix unitarily similar to S = U U^H (see the module notes).
 
     Unmultiplied, it is the real form R of T.  A product with phi whose
-    modulus d = |phi| is its own reversal to within ``_MIRROR_ULPS`` ulps of
-    max d gets the real symmetric diag(d) R diag(d), with d symmetrized as
-    (d + d[::-1]) / 2: diag(phi) = P diag(d) for a unitary diagonal P of
-    phases, and Q = (I + iJ)/sqrt(2) commutes with diag(d) when J d = d, so
-    Q^H P^H S P Q = diag(d) Q^H T Q diag(d).  Any other product gets the
-    complex diag(phi) T diag(conj(phi)); other systems the dense product.
+    modulus d = |phi| passes ``_mirrored`` gets the real symmetric diag(d) R
+    diag(d): diag(phi) = P diag(d) for a unitary diagonal P of phases, and Q
+    = (I + iJ)/sqrt(2) commutes with diag(d) when J d = d, so Q^H P^H S P Q =
+    diag(d) Q^H T Q diag(d).  Any other product gets the complex diag(phi) T
+    diag(conj(phi)); other systems the dense product.
     """
     c = sys._column
     if c is None:
@@ -292,16 +322,48 @@ def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
     phi = sys._multiplier
     if phi is None:
         return _real_form(c)
-    d = np.abs(phi)
-    mirror = d[::-1]
-    if np.abs(d - mirror).max() <= _MIRROR_ULPS * np.finfo(float).eps * d.max():
-        d = 0.5 * (d + mirror)
+    d = _mirrored(phi)
+    if d is not None:
         S = d[:, None] * _real_form(c)
         S *= d
         return S
     S = phi[:, None] * _toeplitz(c)
     S *= phi.conj()
     return S
+
+
+def _gram_operator(sys: SynthesisSystem) -> np.ndarray:
+    """A Hermitian matrix unitarily similar to G = U^H U (see the module notes).
+
+    An unmultiplied structured system, or a product whose modulus passes
+    ``_mirrored``, gets the real symmetric Re(V^H V) for U centred on the
+    grid, formed as one real product of the stacked [Re V; Im V]; every other
+    system the complex U^H U.
+    """
+    U = sys.weighted
+    phi = sys._multiplier
+    if sys._column is None or (phi is not None and _mirrored(phi) is None):
+        return U.conj().T @ U
+    nodes = sys.grid.nodes
+    centre = 0.5 * (nodes[0] + nodes[-1])
+    V = U * _cis(-centre * np.asarray(sys.labels, dtype=float))
+    A = np.concatenate([V.real, V.imag])
+    return A.T @ A
+
+
+def _eigvalsh(form, sys: SynthesisSystem, what: str) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian ``form(sys)``, formed with
+    numpy's overflow warnings silenced; a ``FrameLabError`` naming the
+    overflow when the matrix or its spectrum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = form(sys)
+    # the extremes of the real view show any inf or nan without an n x n mask
+    parts = M.view(float)
+    if np.isfinite(parts.min()) and np.isfinite(parts.max()):
+        eigs = np.linalg.eigvalsh(M)
+        if np.isfinite(eigs).all():
+            return eigs
+    raise FrameLabError(f"overflow: the {what} of this system exceeds double precision")
 
 
 def _adjoint(U: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -397,9 +459,9 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
     """Frame bounds and status flags from the weighted spectra.
 
     Computes the spectrum of S = U U^H (formed by ``_frame_operator``) and of
-    the Gram G = U^H U (whichever fit the dense-eigensolve budget),
-    cross-checks that their nonzero parts agree, and reads the bounds off the
-    retained spectrum:
+    the Gram G = U^H U (formed by ``_gram_operator``), whichever fit the
+    dense-eigensolve budget, cross-checks that their nonzero parts agree, and
+    reads the bounds off the retained spectrum:
 
       upper = largest eigenvalue, rank = count above rank_tol * upper,
       lower = smallest retained eigenvalue.
@@ -415,11 +477,11 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
         raise FrameLabError(
             f"system of size {n} x {k} exceeds the dense spectral budget"
         )
-    eigs_s = np.linalg.eigvalsh(_frame_operator(sys)) if n <= _FULL_SPECTRUM_LIMIT else None
-    eigs_g = None
+    eigs_s = eigs_g = None
+    if n <= _FULL_SPECTRUM_LIMIT:
+        eigs_s = _eigvalsh(_frame_operator, sys, "frame operator")
     if k <= _FULL_SPECTRUM_LIMIT:
-        U = sys.weighted
-        eigs_g = np.linalg.eigvalsh(U.conj().T @ U)
+        eigs_g = _eigvalsh(_gram_operator, sys, "Gram matrix")
 
     if eigs_s is not None:
         spectrum = np.clip(eigs_s[::-1], 0.0, None)

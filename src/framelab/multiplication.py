@@ -489,9 +489,13 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
     prepared = kind.prepare(sys, phi, rank_tol)
     if kind.hypothesis is not None and not kind.hypothesis(prepared):
         raise HypothesisError(f"hypothesis violated: {kind.violation}")
-    predicted, measured, envelope, bounds, gate, others_hold, details = kind.judge(
-        prepared, trace, **options
-    )
+    try:
+        predicted, measured, envelope, bounds, gate, others_hold, details = kind.judge(
+            prepared, trace, **options
+        )
+    except OverflowError as exc:
+        # ess_sup**2 past double precision on a product whose spectrum fits
+        raise FrameLabError(f"overflow: the {check} envelope exceeds double precision") from exc
     # the one bracket test of every kind; a prediction that promises no
     # frame-type property turns it off
     holds = within_envelope(envelope, bounds) or (gate is not None and not predicted[gate])

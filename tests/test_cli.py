@@ -939,6 +939,49 @@ def test_expressions_that_overflow_are_exit_2(workdir, capsys, command):
     assert not (workdir / "report.json").exists()
 
 
+@pytest.mark.parametrize("sweep", [False, True])
+@pytest.mark.parametrize(
+    "expr",
+    # an asymmetric modulus (complex route) and a mirror-symmetric one (real
+    # route); both have finite samples whose squares overflow
+    ["exp(400 * t)", "exp(800 * abs(t - 0.5))"],
+)
+def test_products_that_overflow_are_exit_3(workdir, capsys, expr, sweep):
+    """Finite samples whose product overflows double precision are a
+    numerical failure that names the overflow, with no numpy warning."""
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    pts = write_points(workdir / "pts.csv", np.arange(32) - 16.0)
+    cfg_path = write_json(workdir / "cfg.json", {
+        "command": "mult-check",
+        "inputs": {"domain": dom, "pointset": pts, "multiplier": {"expr": expr},
+                   "sweep": sweep},
+        "grid": {"n_per_unit": 32, "refine": [16, 32]},
+    })
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert "numerical failure: overflow" in err
+    assert not (workdir / "report.json").exists()
+
+
+def test_envelope_that_overflows_is_exit_3(workdir, capsys):
+    """One frequency keeps the product's spectrum near h max |phi|^2, which
+    fits, while the envelope's max |phi|^2 does not."""
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    pts = write_points(workdir / "pts.csv", [0.0])
+    cfg_path = write_json(workdir / "cfg.json", {
+        "command": "mult-check",
+        "inputs": {"domain": dom, "pointset": pts, "multiplier": {"expr": "exp(362 * t)"},
+                   "check": "bessel", "sweep": False},
+        "grid": {"n_per_unit": 32},
+    })
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "numerical failure: overflow: the bessel envelope" in err
+    assert not (workdir / "report.json").exists()
+
+
 def test_run_config_validates_refine_programmatically():
     with pytest.raises(ConfigError, match="strictly increasing"):
         RunConfig(command="gap", refine=(64, 64))
