@@ -12,13 +12,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import stat
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import jsonschema
 import numpy as np
 
 from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid
@@ -273,14 +273,74 @@ class RunConfig:
             raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
 
 
-def _validate(instance, schema, prefix: str = "") -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path)
-        loc = "/".join(p for p in (prefix, path) if p) or "<root>"
-        raise ConfigError(f"{loc}: {err.message}")
+# what each schema type admits, as Draft 2020-12 reads it: a bool is no
+# number, and a float with no fractional part is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+# bound keyword -> the test its value or size must pass, and that test's sign
+_BOUNDS = {
+    "minimum": (operator.ge, ">="),
+    "exclusiveMinimum": (operator.gt, ">"),
+    "maximum": (operator.le, "<="),
+    "exclusiveMaximum": (operator.lt, "<"),
+    "minItems": (operator.ge, ">="),
+    "maxItems": (operator.le, "<="),
+    "minProperties": (operator.ge, ">="),
+    "maxProperties": (operator.le, "<="),
+}
+
+
+def _validate(value, schema: dict, path: str = ""):
+    """``value`` checked against ``schema``, returned with every value the
+    schema types ``integer`` as an int.
+
+    Walks the keywords the schemas above use: type, enum, the ``_BOUNDS``,
+    required, additionalProperties (false only), properties and items.  A
+    node's own keywords are checked before its children, and the children in
+    key or index order, so the ConfigError("<path>: <message>") raised is
+    the first error in key-path order; the top level is ``<root>``.
+    """
+    def fail(message):
+        raise ConfigError(f"{path or '<root>'}: {message}")
+
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if kind == "integer":
+        value = int(value)
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    props = schema.get("properties", {})
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"required key {key!r} is missing")
+        if schema.get("additionalProperties") is False:
+            for key in value:
+                if key not in props:
+                    fail(f"unexpected key {key!r}")
+    sized = isinstance(value, (list, dict))
+    for key, (holds, sign) in _BOUNDS.items():
+        if key in schema and not holds(len(value) if sized else value, schema[key]):
+            size = f" of size {len(value)}" if sized else ""
+            fail(f"{value!r}{size} is not {sign} {schema[key]!r} ({key})")
+    join = (lambda k: f"{path}/{k}") if path else str
+    if isinstance(value, dict) and props:
+        out = dict(value)
+        for key in sorted(value.keys() & props.keys()):
+            out[key] = _validate(value[key], props[key], join(key))
+        return out
+    if isinstance(value, list) and "items" in schema:
+        return [_validate(v, schema["items"], join(j)) for j, v in enumerate(value)]
+    return value
 
 
 def _finite(text: str) -> float:
@@ -309,8 +369,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
-    _validate(raw, _CONFIG_SCHEMA)
-    _validate(raw.get("inputs", {}), _INPUT_SCHEMAS[raw["command"]], prefix="inputs")
+    raw = _validate(raw, _CONFIG_SCHEMA)
+    raw["inputs"] = _validate(raw.get("inputs", {}), _INPUT_SCHEMAS[raw["command"]], "inputs")
     # only the keys the file sets: the rest keep the RunConfig defaults
     out = raw.get("output", {})
     settings = {

@@ -25,18 +25,20 @@ asymmetric modulus stays complex.  Every other system (multi-interval grids,
 raw member matrices) is formed densely.
 
 The Gram G = U^H U of such a system has a real form too.  With c the centre
-of the grid's nodes, scaling column k of U by e^{2 pi i c lambda_k} gives V
-with V[j, k] = sqrt(h) phi_j e^{-2 pi i (t_j - c) lambda_k}, so V^H V =
+of the grid's nodes, V[j, k] = sqrt(h) phi_j e^{-2 pi i (j - (n-1)/2) h
+lambda_k} is U with column k scaled by e^{2 pi i c lambda_k}, so V^H V =
 P^H G P for the unitary diagonal P of those phases, and (V^H V)[k, l] = h
-sum_j |phi_j|^2 e^{2 pi i (t_j - c)(lambda_k - lambda_l)}: the phases of phi
-cancel, and since the nodes t_j - c are symmetric about 0 the sum is real
-whenever |phi|^2 is too.  Re(A^H A) = [Re A; Im A]^T [Re A; Im A] for any
-complex A, so the Gram is formed as one real product of the stacked 2n x K
-matrix and diagonalized by a real eigensolve.  One modulus rule
-(``_mirrored``) sends a product to the real form of S and of G alike; every
-other Gram (an asymmetric modulus, multi-interval grids, raw member
-matrices) is the complex U^H U.  The S/G cross-check stays independent: S
-comes from the Toeplitz column, G from the member matrix.
+sum_j |phi_j|^2 e^{2 pi i (j - (n-1)/2) h (lambda_k - lambda_l)}: the phases
+of phi cancel, and since the offsets (j - (n-1)/2) h are symmetric about 0
+the sum is real whenever |phi|^2 is too.  V is formed from those offsets,
+never from the nodes, so it does not move when the band is translated.
+Re(A^H A) = [Re A; Im A]^T [Re A; Im A] for any complex A, so the Gram is
+formed as one real product of the stacked 2n x K matrix and diagonalized by
+a real eigensolve.  One modulus rule (``_mirrored``) sends a product to
+the real form of S and of G alike; every other Gram (an asymmetric modulus,
+multi-interval grids, raw member matrices) is the complex U^H U.  The S/G
+cross-check stays independent: S comes from the Toeplitz column, G from V
+or U.
 
 A product whose S or G is not finite in double precision (a multiplier such
 as exp(400 t) on [0, 1]) is formed with numpy's overflow warnings silenced
@@ -51,8 +53,8 @@ Every other system stays dense.
 
 The member matrix U of an exponential system, and of a product with a
 multiplier, is deferred: it is formed on first access to ``matrix`` and
-then cached, so a structured system that only needs its bounds past the
-Gram budget (K > 1024) never forms it.  On a uniform grid neither U nor its
+then cached, so measuring the bounds of a structured system whose S and G
+both take a real form never forms it.  On a uniform grid neither U nor its
 column needs n K exps: writing j = m B + r with B = ceil(sqrt(n)) and z_k =
 e^{-2 pi i h lambda_k}, U[j, k] = e^{-2 pi i t_0 lambda_k} (z_k^B)^m z_k^r,
 each factor a row of a ceil(n/B) x K or B x K matrix of powers taken from
@@ -336,17 +338,19 @@ def _gram_operator(sys: SynthesisSystem) -> np.ndarray:
     """A Hermitian matrix unitarily similar to G = U^H U (see the module notes).
 
     An unmultiplied structured system, or a product whose modulus passes
-    ``_mirrored``, gets the real symmetric Re(V^H V) for U centred on the
-    grid, formed as one real product of the stacked [Re V; Im V]; every other
-    system the complex U^H U.
+    ``_mirrored``, gets the real symmetric Re(V^H V) for V the members on the
+    grid's offsets from its centre, formed as one real product of the stacked
+    [Re V; Im V]; every other system the complex U^H U.
     """
-    U = sys.weighted
     phi = sys._multiplier
     if sys._column is None or (phi is not None and _mirrored(phi) is None):
+        U = sys.weighted
         return U.conj().T @ U
-    nodes = sys.grid.nodes
-    centre = 0.5 * (nodes[0] + nodes[-1])
-    V = U * _cis(-centre * np.asarray(sys.labels, dtype=float))
+    h, n = sys.grid.steps[0], sys.grid.size
+    lam = np.asarray(sys.labels, dtype=float)
+    V = math.sqrt(h) * _uniform_matrix(-(n - 1) * h / 2, h, lam, n)
+    if phi is not None:
+        V *= phi[:, None]
     A = np.concatenate([V.real, V.imag])
     return A.T @ A
 

@@ -481,6 +481,20 @@ _KINDS = {
 }
 
 
+def _measured(check: str, p: _Prepared) -> str:
+    """The numbers a check's hypothesis was judged on, for its failure message."""
+    r = p.mult_report if check == "converse" else p.base_report
+    text = (f"measured rank {r.rank} of n = {r.dim_space} at rank_tol {r.rank_tol:g}, "
+            f"retained bounds [{r.lower:.6g}, {r.upper:.6g}]")
+    if check == "tight":
+        text += f", spread {r.upper - r.lower:.6g} against {TIGHT_SPREAD:g} * upper"
+    elif check == "riesz":
+        extremes = ("not measured: more members than nodes" if r.gram_extremes is None
+                    else "[%.6g, %.6g]" % r.gram_extremes)
+        text += f", {r.n_members} members, Gram extremes {extremes}"
+    return text
+
+
 def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
                trace: RefinementTrace | None, **options) -> MultCheckReport:
     kind = _KINDS[check]
@@ -488,7 +502,8 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
         require_members(sys, kind.violation)
     prepared = kind.prepare(sys, phi, rank_tol)
     if kind.hypothesis is not None and not kind.hypothesis(prepared):
-        raise HypothesisError(f"hypothesis violated: {kind.violation}")
+        raise HypothesisError(f"hypothesis violated: {kind.violation} "
+                              f"({_measured(check, prepared)})")
     try:
         predicted, measured, envelope, bounds, gate, others_hold, details = kind.judge(
             prepared, trace, **options

@@ -167,6 +167,24 @@ def test_frame_bounds_with_csv_plot(workdir):
     assert header == ["index", "eigenvalue"]
 
 
+def test_frame_bounds_far_from_the_origin(workdir):
+    # translating the band scales each member by a unimodular constant: the
+    # bounds on [1e10, 1e10 + 1] are those on [0, 1]
+    rng = np.random.default_rng(0)
+    pts = write_points(workdir / "pts.csv", np.arange(24) - 12 + rng.uniform(-0.25, 0.25, 24))
+    bounds = []
+    for s in (0.0, 1e10):
+        dom = write_json(workdir / "dom.json", {"intervals": [[s, s + 1.0]]})
+        cfg_path = write_json(workdir / "cfg.json", {
+            "command": "frame-bounds", "inputs": {"domain": dom, "pointset": pts},
+            "grid": {"n_per_unit": 16}})
+        out = str(workdir / "report.json")
+        assert main(["--config", cfg_path, "--out", out]) == 0
+        rep = read_report(out)["results"]["report"]
+        bounds.append((rep["lower"], rep["upper"], rep["rank"]))
+    assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+
+
 # --- multiplier checks ----------------------------------------------------------------
 
 
@@ -342,7 +360,36 @@ def test_mult_check_hypothesis_failure_is_exit_3(workdir, capsys):
         },
     )
     assert main(["--config", cfg_path]) == 3
-    assert "hypothesis violated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "hypothesis violated" in err
+    # integer frequencies are orthonormal on the unit band: a Riesz sequence
+    # that spans 3 of the 32 node dimensions
+    assert ("(measured rank 3 of n = 32 at rank_tol 1e-08, retained bounds [1, 1], "
+            "3 members, Gram extremes [1, 1])") in err
+
+
+def test_tight_hypothesis_failure_names_rank_and_spread(workdir, capsys):
+    # 2k for k = -16..15 on 32 nodes of the unit band: the members for k and
+    # k + 16 agree up to sign, so S = 2 P for the projection P onto 16 dims,
+    # a tight frame of its span that is no frame of the whole space
+    dom = write_json(workdir / "dom.json", {"intervals": E_INTERVALS})
+    pts = write_points(workdir / "pts.csv", 2.0 * np.arange(-16, 16))
+    cfg_path = write_json(
+        workdir / "cfg.json",
+        {
+            "command": "mult-check",
+            "inputs": {"domain": dom, "pointset": pts, "multiplier": {"expr": "2 + t"},
+                       "check": "tight", "sweep": False},
+            "grid": {"n_per_unit": 32},
+        },
+    )
+    assert main(["--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "hypothesis violated: base system is not a tight frame" in err
+    assert "(measured rank 16 of n = 32 at rank_tol 1e-08, retained bounds [2, 2], spread " in err
+    spread = float(err.split("spread ")[1].split()[0])
+    assert 0.0 <= spread <= 1e-12
+    assert "against 1e-08 * upper)" in err
 
 
 # --- translate checks --------------------------------------------------------------
@@ -1006,6 +1053,38 @@ def _reconstruct(workdir):
             "inputs": {"band": band, "delta": 0.05, "pointset": half_integer_points(workdir),
                        "n_targets": 1},
             "grid": {"n_per_unit": 320}}
+
+
+def test_integral_floats_for_integer_keys_reach_the_run_as_ints(workdir):
+    # JSON Schema counts 1.0 as an integer; the run and its report see 1
+    cfg = _reconstruct(workdir)
+    cfg["inputs"]["n_targets"] = 2.0
+    cfg["grid"] = {"n_per_unit": 320.0, "refine": [64.0, 128.0]}
+    cfg["tolerances"] = {"max_iter": 2000.0}
+    cfg["seed"] = 1.0
+    out = str(workdir / "report.json")
+    assert main(["--config", write_json(workdir / "cfg.json", cfg), "--out", out]) == 0
+    rep = read_report(out)
+    echoed = [rep["seed"], rep["inputs"]["n_targets"], rep["grid"]["n_per_unit"],
+              *rep["grid"]["refine"], rep["tolerances"]["max_iter"]]
+    assert echoed == [1, 2, 320, 64, 128, 2000]
+    assert all(type(v) is int for v in echoed)
+    assert len(rep["results"]["targets"]) == 2
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    (None, "seed", 1.5, "seed"),
+    ("inputs", "n_targets", 2.5, "inputs/n_targets"),
+    ("grid", "n_per_unit", 16.5, "grid/n_per_unit"),
+    ("grid", "refine", [64, 128.5], "grid/refine/1"),
+    ("tolerances", "max_iter", 10.5, "tolerances/max_iter"),
+])
+def test_non_integral_integer_keys_are_exit_2(workdir, capsys, section, key, value, named):
+    cfg = _reconstruct(workdir)
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    assert main(["--config", write_json(workdir / "cfg.json", cfg)]) == 2
+    offending = value[-1] if isinstance(value, list) else value
+    assert f"{named}: {offending!r} is not of type 'integer'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

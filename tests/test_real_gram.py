@@ -149,3 +149,33 @@ def test_overflow_is_a_frame_lab_error_on_every_route(route):
         warnings.simplefilter("error")
         with pytest.raises(FrameLabError, match="overflow"):
             measure_bounds(sys)
+
+
+@pytest.mark.parametrize("case", ["unmultiplied", "mirror"])
+@pytest.mark.parametrize("k", [20, 48])
+def test_real_routes_are_translation_invariant(case, k):
+    """Translating E by s scales each member by a unimodular constant, which
+    keeps the bounds: on [s, s + 1] with 32 nodes (K <= n and K > n) the
+    bounds, rank and Gram extremes stay those of s = 0, to a few eps * s *
+    max|lambda|, with S and G both on their real forms."""
+    lam = jittered_lattice(48, 5).xs[:k]
+    reports = {}
+    for s in (0.0, 1e6, 1e9, 1e10, 1e12):
+        grid = make_grid(Domain([(s, s + 1.0)]), 32)
+        sys = exponential_system(grid, PointSet.from_1d(lam))
+        phi = multiplier(np.random.default_rng(9), grid, case)
+        if phi is not None:
+            sys = multiply_system(sys, phi)
+        assert _frame_operator(sys).dtype == _gram_operator(sys).dtype == np.float64
+        reports[s] = measure_bounds(sys)
+        assert reports[s].spectra_cross_checked
+    ref = reports[0.0]
+    for s, rep in reports.items():
+        tol = (1e-14 + 4 * np.finfo(float).eps * s * np.abs(lam).max()) * ref.upper
+        assert rep.rank == ref.rank
+        assert rep.lower == pytest.approx(ref.lower, abs=tol)
+        assert rep.upper == pytest.approx(ref.upper, abs=tol)
+        if k <= grid.size:
+            assert rep.gram_extremes == pytest.approx(ref.gram_extremes, abs=tol)
+        else:
+            assert rep.gram_extremes is None
