@@ -125,26 +125,22 @@ def multiply_system(sys: SynthesisSystem, phi: SampledFunction) -> SynthesisSyst
     return sys.multiplied(phi.values)
 
 
-def trend_is_stable(values) -> bool:
-    """True when the final value stays within ``STABILITY`` of the trace peak.
+def trend_is_stable(values, *, ceiling: bool = False) -> bool:
+    """The one trend rule of every refinement sweep, judged by ``STABILITY``.
 
-    Used on essential-infimum and lower-bound traces across grid doublings:
-    a bounded-below quantity settles; one sinking toward zero keeps losing
-    ground against its own maximum.
+    Floor form (an infimum or a lower bound): the final value is positive and
+    keeps ``1 - STABILITY`` of the peak; one sinking toward zero keeps losing
+    ground.  Ceiling form (a supremum or an upper bound): the largest value
+    stays within ``1 + STABILITY`` of the smallest, which is positive; a
+    growing supremum emulates an unbounded one.
     """
     values = [float(v) for v in values]
     if not values:
         raise ValueError("empty trace")
-    peak = max(values)
-    if peak <= 0.0:
-        return False
-    return values[-1] > 0.0 and values[-1] >= (1.0 - STABILITY) * peak
-
-
-def _stays_flat(values) -> bool:
-    """The supremum rule: the largest value stays within ``STABILITY`` of the
-    smallest (a growing supremum emulates an unbounded one)."""
-    return max(values) <= (1.0 + STABILITY) * min(values) if min(values) > 0 else False
+    low, high = min(values), max(values)
+    if ceiling:
+        return low > 0.0 and high <= (1.0 + STABILITY) * low
+    return values[-1] > 0.0 and values[-1] >= (1.0 - STABILITY) * high
 
 
 def refinement_levels(levels) -> tuple:
@@ -202,7 +198,7 @@ def profile_refinement(dom: Domain, phi_fn, levels=DEFAULT_LEVELS) -> Refinement
         ess_inf_support=tuple(inf_sups),
         bounded_below=trend_is_stable(infs),
         bounded_below_on_support=trend_is_stable(inf_sups),
-        sup_stable=_stays_flat(sups),
+        sup_stable=trend_is_stable(sups, ceiling=True),
         stability=STABILITY,
         samples=samples,
     )
@@ -338,8 +334,8 @@ def _judge_frame_sequence(p, trace):
     rank_ok = mult_report.rank == n_support
     predicted = {"frame_sequence": _bounded_below_on_support(prof, trace)}
     measured = {"frame_sequence": mult_report.flags.frame_sequence}
-    inf_support = prof.ess_inf_support if math.isfinite(prof.ess_inf_support) else 0.0
-    envelope = (p.base_report.lower * inf_support**2, p.base_report.upper * prof.ess_sup**2)
+    envelope = (p.base_report.lower * prof.ess_inf_support**2,
+                p.base_report.upper * prof.ess_sup**2)
 
     pad = AMBIENT_PAD_CELLS
     big_grid = extend_grid(mult.grid, pad, pad)
@@ -403,11 +399,11 @@ class _Kind:
 
     The skeleton runs ``prepare``, demands ``hypothesis`` (None: no
     hypothesis; ``violation`` says what failed), lets ``judge`` predict,
-    measure and name the bracket, and tests it.  A sweep traces ``metric`` per level, takes its
-    prediction from ``predict(trace, reports)``, its measurement from
-    ``trend(metric, reports)`` and requires ``level_ok`` of every
-    level report.  ``spans``: the hypothesis demands a frame of the whole
-    space, checked against the member count before anything is measured.
+    measure and name the bracket, and tests it.  A sweep traces ``metric`` per
+    level and takes its prediction from the ``RefinementTrace`` verdict named
+    by ``predicted_by`` (None: the tight rule of ``refine_check``).
+    ``spans``: the hypothesis demands a frame of the whole space, checked
+    against the member count before anything is measured.
     """
 
     prepare: Callable
@@ -416,9 +412,7 @@ class _Kind:
     judge: Callable
     traced: bool = True
     metric: Callable | None = None
-    predict: Callable | None = None
-    trend: Callable = lambda metric, reports: trend_is_stable(metric)
-    level_ok: Callable = lambda r: r.envelope_holds
+    predicted_by: str | None = None
     spans: bool = False
 
 
@@ -440,35 +434,27 @@ def _is_frame(p: _Prepared) -> bool:
 _KINDS = {
     "frame": _Kind(
         _prepare, _is_frame, _NOT_A_FRAME, _judge_frame, spans=True,
-        metric=lambda r: r.mult_report.lower,
-        predict=lambda trace, reports: trace.bounded_below,
+        metric=lambda r: r.mult_report.lower, predicted_by="bounded_below",
     ),
     "tight": _Kind(
         _prepare, lambda p: p.base_report.flags.tight and _is_frame(p),
         "base system is not a tight frame", _judge_tight, spans=True,
         metric=lambda r: r.mult_report.upper - r.mult_report.lower,
-        predict=lambda trace, reports: reports[0].predicted["tight"],
-        trend=lambda metric, reports: all(r.measured["tight"] for r in reports),
     ),
     "riesz": _Kind(
         _prepare,
         lambda p: p.base_report.flags.riesz_sequence
         and p.base_report.rank == p.base_report.dim_space,
         "base system is not a Riesz basis", _judge_riesz,
-        metric=lambda r: r.details["gram_extremes"][0],
-        predict=lambda trace, reports: trace.bounded_below,
+        metric=lambda r: r.details["gram_extremes"][0], predicted_by="bounded_below",
     ),
     "bessel": _Kind(
         _prepare, None, "", _judge_bessel,
-        metric=lambda r: r.mult_report.upper,
-        predict=lambda trace, reports: trace.sup_stable,
-        trend=lambda metric, reports: _stays_flat(metric),
-        level_ok=lambda r: r.consistent,
+        metric=lambda r: r.mult_report.upper, predicted_by="sup_stable",
     ),
     "frame_sequence": _Kind(
         _prepare, _is_frame, _NOT_A_FRAME, _judge_frame_sequence, spans=True,
-        metric=lambda r: r.mult_report.lower,
-        predict=lambda trace, reports: trace.bounded_below_on_support,
+        metric=lambda r: r.mult_report.lower, predicted_by="bounded_below_on_support",
     ),
     "converse": _Kind(
         _prepare_converse, lambda p: p.mult_report.flags.frame_for_whole_space,
@@ -481,9 +467,9 @@ _KINDS = {
 }
 
 
-def _measured(check: str, p: _Prepared) -> str:
-    """The numbers a check's hypothesis was judged on, for its failure message."""
-    r = p.mult_report if check == "converse" else p.base_report
+def _measured(r: FrameReport, check: str = "") -> str:
+    """The numbers of ``r`` that a hypothesis was judged on, for its failure
+    message; ``check`` adds the tight spread or the Riesz Gram extremes."""
     text = (f"measured rank {r.rank} of n = {r.dim_space} at rank_tol {r.rank_tol:g}, "
             f"retained bounds [{r.lower:.6g}, {r.upper:.6g}]")
     if check == "tight":
@@ -502,8 +488,9 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
         require_members(sys, kind.violation)
     prepared = kind.prepare(sys, phi, rank_tol)
     if kind.hypothesis is not None and not kind.hypothesis(prepared):
+        judged = prepared.mult_report if check == "converse" else prepared.base_report
         raise HypothesisError(f"hypothesis violated: {kind.violation} "
-                              f"({_measured(check, prepared)})")
+                              f"({_measured(judged, check)})")
     try:
         predicted, measured, envelope, bounds, gate, others_hold, details = kind.judge(
             prepared, trace, **options
@@ -615,9 +602,9 @@ _CHECKS = {
 class MultSweepReport(Record):
     """Refinement-certified multiplier check.
 
-    Per-level reports plus the certified verdict: the prediction comes from
-    the multiplier trace, the measurement from the per-level bound trend
-    judged by the same stability rule.
+    Per-level reports plus the certified verdict: the multiplier trace
+    predicts and the per-level metric trend measures, by the one trend rule;
+    a tight sweep predicts from level 0 and measures every level instead.
     """
 
     check: str
@@ -636,8 +623,10 @@ def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
 
     ``system_factory(grid)`` builds the base system at each level;
     ``phi_fn(nodes)`` samples the multiplier.  The per-level metric is the
-    lower bound for frame-type checks, the Gram minimum for the Riesz check,
-    and the upper bound (stability of the supremum) for the Bessel check.
+    lower bound for frame-type checks and the Gram minimum for the Riesz check
+    (floor form of ``trend_is_stable``), the upper bound for the Bessel check
+    (ceiling form), and the spread for the tight check, where level 0
+    predicts and every level must measure tight.
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check kind {check!r}")
@@ -648,9 +637,13 @@ def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
         for phi in trace.samples
     ]
     metric = [float(kind.metric(r)) for r in reports]
-    predicted = kind.predict(trace, reports)
-    measured = kind.trend(metric, reports)
-    consistent = predicted == measured and all(kind.level_ok(r) for r in reports)
+    if kind.predicted_by is None:
+        predicted = reports[0].predicted["tight"]
+        measured = all(r.measured["tight"] for r in reports)
+    else:
+        predicted = getattr(trace, kind.predicted_by)
+        measured = trend_is_stable(metric, ceiling=kind.predicted_by == "sup_stable")
+    consistent = predicted == measured and all(r.envelope_holds for r in reports)
     return MultSweepReport(
         check=check,
         levels=trace.levels,

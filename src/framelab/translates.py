@@ -34,6 +34,7 @@ from .framecore import (
 from .multiplication import (
     DEFAULT_LEVELS,
     RefinementTrace,
+    _measured,
     classify_translates,
     multiply_system,
     profile_multiplier,
@@ -363,7 +364,7 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
     require_members(exp, violation)
     exp_report = measure_bounds(exp, rank_tol)
     if not exp_report.flags.frame_for_whole_space:
-        raise HypothesisError(f"hypothesis violated: {violation}")
+        raise HypothesisError(f"hypothesis violated: {violation} ({_measured(exp_report)})")
     results = []
     for f_hat in f_hats:
         rec = reconstruct(exp, f_hat, tol=tol, max_iter=max_iter)
@@ -527,9 +528,13 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
     quotient_range, range_ok = None, True
     if mode == "frame":
         if not exp_report.flags.frame_for_whole_space:
-            raise HypothesisError(f"hypothesis violated: {violation}")
+            raise HypothesisError(f"hypothesis violated: {violation} ({_measured(exp_report)})")
         if not (prof_f.bounded_below_on_grid and prof_g.bounded_below_on_grid):
-            raise HypothesisError("hypothesis violated: a factor is not bounded below on the band")
+            factors = "; ".join(
+                f"{name} ess_inf {prof.ess_inf:.6g} against {prof.zero_tol:g} * ess_sup "
+                f"{prof.ess_sup:.6g}" for name, prof in (("first", prof_f), ("second", prof_g)))
+            raise HypothesisError("hypothesis violated: a factor is not bounded below on the "
+                                  f"band ({factors})")
         lower = m * (prof_f.ess_inf * prof_g.ess_inf) ** 2
     elif mode == "frame_sequence":
         mask = prof_p.support_mask

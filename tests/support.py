@@ -9,6 +9,7 @@ import numpy as np
 
 from framelab.domain import Domain, Grid, SampledFunction, make_grid
 from framelab.framecore import SynthesisSystem, exponential_system
+from framelab.multiplication import STABILITY
 from framelab.pointset import PointSet
 
 
@@ -43,6 +44,24 @@ def random_sampled(rng, grid: Grid) -> SampledFunction:
 
 
 # --- oracles ---------------------------------------------------------------
+
+
+def oracle_trend_is_stable(values) -> bool:
+    """Reference floor trend rule: the final value stays within
+    ``STABILITY`` of the trace peak."""
+    values = [float(v) for v in values]
+    if not values:
+        raise ValueError("empty trace")
+    peak = max(values)
+    if peak <= 0.0:
+        return False
+    return values[-1] > 0.0 and values[-1] >= (1.0 - STABILITY) * peak
+
+
+def oracle_stays_flat(values) -> bool:
+    """Reference ceiling trend rule: the largest value stays within
+    ``STABILITY`` of the smallest."""
+    return max(values) <= (1.0 + STABILITY) * min(values) if min(values) > 0 else False
 
 
 def oracle_bounds_svd(sys: SynthesisSystem, rank_tol: float = 1e-8):

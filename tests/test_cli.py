@@ -1055,6 +1055,22 @@ def _reconstruct(workdir):
             "grid": {"n_per_unit": 320}}
 
 
+def test_reconstruct_hypothesis_failure_names_rank_and_bounds(workdir, capsys):
+    # 400 points at spacing 1/40 span [-5, 5): 17 dimensions of the 288 nodes
+    # of the dilated band, however many members there are
+    cfg = _reconstruct(workdir)
+    cfg["inputs"]["pointset"] = write_points(workdir / "pts.csv", (np.arange(400) - 200) / 40)
+    out = workdir / "report.json"
+    assert main(["--config", write_json(workdir / "cfg.json", cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "hypothesis violated: the oversampled exponential system is not a frame" in err
+    assert "(measured rank 17 of n = 288 at rank_tol 1e-08, retained bounds [" in err
+    lower, upper = map(float, err.split("retained bounds [")[1].split("]")[0].split(", "))
+    assert lower == pytest.approx(5.85e-7, rel=1e-3) and upper == pytest.approx(40.0)
+    assert not out.exists()
+
+
 def test_integral_floats_for_integer_keys_reach_the_run_as_ints(workdir):
     # JSON Schema counts 1.0 as an integer; the run and its report see 1
     cfg = _reconstruct(workdir)

@@ -11,6 +11,7 @@ from framelab.domain import Domain, SampledFunction, indicator, make_grid
 from framelab.errors import FrameLabError, HypothesisError
 from framelab.framecore import exponential_system, gram, measure_bounds
 from framelab.multiplication import (
+    STABILITY,
     check_bessel_multiplication,
     check_converse,
     check_frame_multiplication,
@@ -26,11 +27,15 @@ from framelab.multiplication import (
 from framelab.pointset import PointSet
 from framelab.translates import (
     Generator,
+    UnionPart,
+    UnionSpec,
     classify_translates,
     convolution_closure_check,
+    obstruction_trend,
     oversampled_expansion,
+    union_sweep,
 )
-from support import dft_base
+from support import dft_base, oracle_stays_flat, oracle_trend_is_stable
 
 E = Domain([(-0.5, 0.5)])
 UNIT = Domain([(0.0, 1.0)])
@@ -85,6 +90,31 @@ def test_trend_is_stable():
     assert not trend_is_stable([1.0, 2.0, 1.5])  # final value far off the peak
     with pytest.raises(ValueError):
         trend_is_stable([])
+
+
+@st.composite
+def trend_traces(draw):
+    """1-6 values drawn from a pool of zeros, negatives and magnitudes from
+    1e-300 to 1e300, each also at the stability edges of itself, so traces
+    repeat values and sit on both thresholds."""
+    magnitude = st.floats(min_value=1e-300, max_value=1e300)
+    pool = draw(st.lists(st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v)),
+                         min_size=1, max_size=3))
+    edges = [v * f for v in pool for f in (1.0, 1.0 - STABILITY, 1.0 + STABILITY)]
+    return draw(st.lists(st.sampled_from(edges), min_size=1, max_size=6))
+
+
+@settings(max_examples=300)
+@given(trend_traces())
+def test_both_trend_forms_match_the_reference_rules(values):
+    assert trend_is_stable(values) == oracle_trend_is_stable(values)
+    assert trend_is_stable(values, ceiling=True) == oracle_stays_flat(values)
+
+
+def test_both_trend_forms_reject_an_empty_trace():
+    for ceiling in (False, True):
+        with pytest.raises(ValueError, match="empty trace"):
+            trend_is_stable([], ceiling=ceiling)
 
 
 def test_profile_refinement_certifies_decay_and_stability():
@@ -356,6 +386,37 @@ def test_refine_check_frame_sequence():
         levels=(32, 64, 128),
     )
     assert sweep.predicted_flag and sweep.measured_flag and sweep.consistent
+
+
+def test_every_sweep_reads_the_one_stability_constant(monkeypatch):
+    # at 1.0 the floor form asks only for a positive final value, so the
+    # vanishing multiplier, the vanishing union and the edge-vanishing
+    # spectrum all pass as stable
+    monkeypatch.setattr(framelab.multiplication, "STABILITY", 1.0)
+    sweep = refine_check(UNIT, dft_base, lambda t: t, "frame")
+    assert sweep.predicted_flag and sweep.measured_flag
+    assert sweep.trace.stability == 1.0
+    lattice = (np.arange(256) - 128) * 0.5
+    spec = UnionSpec(
+        (UnionPart(Domain([(0.0, 1.0)]), lambda t: t - 0.25, "a"),
+         UnionPart(Domain([(1.0, 2.0)]), lambda t: 1 + t, "b")),
+        PointSet.from_1d(lattice, box=(lattice[0] - 0.25, lattice[-1] + 0.25)),
+    )
+    union = union_sweep(spec, levels=(16, 32, 64))
+    assert union.predicted_frame and union.measured_frame
+    obstruction = obstruction_trend(E, lambda w: 1.0 - np.abs(2.0 * w))
+    assert not obstruction.predicted_obstruction and not obstruction.measured_obstruction
+    assert obstruction.hat_trace.stability == 1.0
+    # at 0.0 the ceiling form asks for a perfectly flat supremum
+    monkeypatch.setattr(framelab.multiplication, "STABILITY", 0.0)
+    bessel = refine_check(E, dft_base, two_plus_sine, "bessel", levels=(32, 64))
+    assert not bessel.predicted_flag and not bessel.measured_flag
+    assert bessel.trace.stability == 0.0
+    # the same union sweep at the shipped constant: p_hat and the stacked
+    # lower bound both sink
+    monkeypatch.undo()
+    union = union_sweep(spec, levels=(16, 32, 64))
+    assert not union.predicted_frame and not union.measured_frame
 
 
 def test_refine_check_unknown_kind():

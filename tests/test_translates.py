@@ -438,6 +438,19 @@ def test_convolution_frame_mode_hypothesis_errors():
         convolution_closure_check(f, gg, PointSet.from_1d([0.0, 1.0]), "frame")
 
 
+def test_convolution_frame_mode_hypothesis_errors_state_their_numbers():
+    g, f, gg, ps = conv_setup()
+    chi = Generator(SampledFunction(g, (np.abs(g.nodes) <= 0.25).astype(complex)))
+    with pytest.raises(HypothesisError) as info:
+        convolution_closure_check(chi, gg, ps, "frame")
+    assert ("(first ess_inf 0 against 1e-12 * ess_sup 1; second ess_inf 1.00015 against "
+            "1e-12 * ess_sup 1.99985)") in str(info.value)
+    # 256 members at spacing 1/40 span [-3.2, 3.2), 13 dimensions of the 128
+    with pytest.raises(HypothesisError, match="not a frame") as info:
+        convolution_closure_check(f, gg, integer_lattice(256, 1 / 40), "frame")
+    assert "(measured rank 13 of n = 128 at rank_tol 1e-08, retained bounds [" in str(info.value)
+
+
 def test_convolution_frame_sequence_mode():
     g, f, gg, ps = conv_setup()
     mask = np.abs(g.nodes) <= 0.25
