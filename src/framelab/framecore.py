@@ -7,22 +7,21 @@ Gram matrix is U^H @ U, and the two share their nonzero spectrum.
 
 On a uniform one-interval grid with step h the frame operator of an
 exponential system is Hermitian Toeplitz, T[j, l] = h sum_k
-e^{-2 pi i (j - l) h lambda_k}, so the system keeps only its first column and
-``measure_bounds`` builds the operator from it in O(n^2) instead of the
-O(n^2 K) product U @ U^H.  With J the reversal matrix, J T J = conj(T), so
-Q = (I + iJ)/sqrt(2) is unitary and Q^H T Q = Re T - Im(T J), a real
-symmetric Toeplitz-minus-Hankel matrix (the *real form*) whose real
-eigensolve replaces the complex one.  A product with a multiplier phi has
-frame operator diag(phi) T diag(conj(phi)), also formed in O(n^2).  Write
-diag(phi) = P D with P the unitary diagonal of phases and D = diag(|phi|);
-the product is unitarily similar to D T D.  When |phi| is its own reversal,
-J D J = D, so Q commutes with D and Q^H D T D Q = D (Re T - Im(T J)) D: the
-real form scaled by |phi| on both sides, again a real eigensolve.  A real h
-has a conjugate-symmetric h^, so |h^| is even and on a band centred at 0
-(plateau bumps, hats, translate generators from a real h) takes this route,
-as does any modulus even about the band's centre; a product with an
-asymmetric modulus stays complex.  Every other system (multi-interval grids,
-raw member matrices) is formed densely.
+e^{-2 pi i (j - l) h lambda_k}, so the system keeps only its first column.
+Every such system is a product with a multiplier phi, the bare one with phi
+= 1, whose frame operator diag(phi) T diag(conj(phi)) ``measure_bounds``
+forms in O(n^2) instead of the O(n^2 K) product U @ U^H: one structured
+route.  Write diag(phi) = P D with P the unitary diagonal of phases and D =
+diag(|phi|); the product is unitarily similar to D T D.  With J the reversal
+matrix, J T J = conj(T), so Q = (I + iJ)/sqrt(2) is unitary and Q^H T Q =
+Re T - Im(T J), a real symmetric Toeplitz-minus-Hankel matrix (the *real
+form*).  When |phi| is its own reversal, J D J = D, so Q commutes with D and
+Q^H D T D Q = D (Re T - Im(T J)) D, whose real eigensolve replaces the
+complex one.  phi = 1 takes this route, as does a real h's conjugate-
+symmetric h^ on a band centred at 0 (plateau bumps, hats, translate
+generators from a real h) or any modulus even about the band's centre; a
+product with an asymmetric modulus stays complex.  Every other system
+(multi-interval grids, raw member matrices) is formed densely.
 
 The Gram G = U^H U of such a system has a real form too.  With c the centre
 of the grid's nodes, V[j, k] = sqrt(h) phi_j e^{-2 pi i (j - (n-1)/2) h
@@ -34,11 +33,11 @@ the sum is real whenever |phi|^2 is too.  V is formed from those offsets,
 never from the nodes, so it does not move when the band is translated.
 Re(A^H A) = [Re A; Im A]^T [Re A; Im A] for any complex A, so the Gram is
 formed as one real product of the stacked 2n x K matrix and diagonalized by
-a real eigensolve.  One modulus rule (``_mirrored``) sends a product to
-the real form of S and of G alike; every other Gram (an asymmetric modulus,
-multi-interval grids, raw member matrices) is the complex U^H U.  The S/G
-cross-check stays independent: S comes from the Toeplitz column, G from V
-or U.
+a real eigensolve.  One modulus rule (``_mirrored``) sends a structured
+system to the real form of S and of G alike; every other Gram (an
+asymmetric modulus, multi-interval grids, raw member matrices) is the
+complex U^H U.  The S/G cross-check stays independent: S comes from the
+Toeplitz column, G from V or U.
 
 A product whose S or G is not finite in double precision (a multiplier such
 as exp(400 t) on [0, 1]) is formed with numpy's overflow warnings silenced
@@ -48,8 +47,8 @@ route alike.
 ``reconstruct`` applies the same operator in each conjugate-gradient step
 (``_apply_frame_operator``): T embeds in a 2n circulant with first column
 [c, 0, conj(c[:0:-1])], so T p costs two length-2n FFTs, O(n log n) instead
-of the O(nK) product U (U^H p); a product applies phi * T(conj(phi) p).
-Every other system stays dense.
+of the O(nK) product U (U^H p), applied as phi * T(conj(phi) p).  Every
+other system stays dense.
 
 The member matrix U of an exponential system, and of a product with a
 multiplier, is deferred: it is formed on first access to ``matrix`` and
@@ -130,8 +129,8 @@ class SynthesisSystem:
 
     # set only on exponential systems of a uniform one-interval grid and on
     # their products, whose labels are their frequencies: the first column of
-    # the unmultiplied Toeplitz frame operator and the multiplier values
-    # applied since (None: unmultiplied)
+    # the bare system's Toeplitz frame operator and the product of the
+    # multiplier values applied since (ones for the bare system)
     _column = None
     _multiplier = None
 
@@ -197,8 +196,9 @@ class SynthesisSystem:
 
     @cached_property
     def _scale(self) -> float:
-        """Frobenius norm of ``weighted``: the scale of the relative guards."""
-        return float(np.linalg.norm(self.weighted))
+        """The relative guards' scale: the Frobenius norm of ``weighted``, from ``matrix``."""
+        parts = self.matrix.view(float)
+        return math.sqrt(float(self.grid.weights @ np.einsum("ij,ij->i", parts, parts)))
 
     @cached_property
     def _circulant(self) -> np.ndarray:
@@ -220,7 +220,7 @@ class SynthesisSystem:
         out = SynthesisSystem._deferred(self.grid, self.labels, lambda: phi[:, None] * self.matrix)
         if self._column is not None:
             out._column = self._column
-            out._multiplier = phi if self._multiplier is None else self._multiplier * phi
+            out._multiplier = self._multiplier * phi
         return out
 
 
@@ -269,6 +269,7 @@ def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
     h, n = g.steps[0], g.size
     sys = SynthesisSystem._deferred(g, lam, lambda: _uniform_matrix(g.nodes[0], h, lam, n))
     sys._column = _toeplitz_column(h, lam, n)
+    sys._multiplier = np.ones(n)
     return sys
 
 
@@ -310,23 +311,20 @@ def _mirrored(phi: np.ndarray) -> np.ndarray | None:
 def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
     """A Hermitian matrix unitarily similar to S = U U^H (see the module notes).
 
-    Unmultiplied, it is the real form R of T.  A product with phi whose
-    modulus d = |phi| passes ``_mirrored`` gets the real symmetric diag(d) R
-    diag(d): diag(phi) = P diag(d) for a unitary diagonal P of phases, and Q
-    = (I + iJ)/sqrt(2) commutes with diag(d) when J d = d, so Q^H P^H S P Q =
-    diag(d) Q^H T Q diag(d).  Any other product gets the complex diag(phi) T
-    diag(conj(phi)); other systems the dense product.
+    A structured system with multiplier phi (ones for the bare system) gets
+    the real symmetric diag(d) R diag(d), R the real form of T, when d = |phi|
+    passes ``_mirrored``, and the complex diag(phi) T diag(conj(phi))
+    otherwise; every other system the dense product.
     """
     c = sys._column
     if c is None:
         U = sys.weighted
         return U @ U.conj().T
     phi = sys._multiplier
-    if phi is None:
-        return _real_form(c)
     d = _mirrored(phi)
     if d is not None:
-        S = d[:, None] * _real_form(c)
+        S = _real_form(c)
+        S *= d[:, None]
         S *= d
         return S
     S = phi[:, None] * _toeplitz(c)
@@ -337,20 +335,18 @@ def _frame_operator(sys: SynthesisSystem) -> np.ndarray:
 def _gram_operator(sys: SynthesisSystem) -> np.ndarray:
     """A Hermitian matrix unitarily similar to G = U^H U (see the module notes).
 
-    An unmultiplied structured system, or a product whose modulus passes
-    ``_mirrored``, gets the real symmetric Re(V^H V) for V the members on the
+    A structured system whose multiplier (ones for the bare system) passes
+    ``_mirrored`` gets the real symmetric Re(V^H V) for V the members on the
     grid's offsets from its centre, formed as one real product of the stacked
     [Re V; Im V]; every other system the complex U^H U.
     """
-    phi = sys._multiplier
-    if sys._column is None or (phi is not None and _mirrored(phi) is None):
+    if sys._column is None or _mirrored(sys._multiplier) is None:
         U = sys.weighted
         return U.conj().T @ U
     h, n = sys.grid.steps[0], sys.grid.size
     lam = np.asarray(sys.labels, dtype=float)
     V = math.sqrt(h) * _uniform_matrix(-(n - 1) * h / 2, h, lam, n)
-    if phi is not None:
-        V *= phi[:, None]
+    V *= sys._multiplier[:, None]
     A = np.concatenate([V.real, V.imag])
     return A.T @ A
 
@@ -384,17 +380,15 @@ def _apply_frame_operator(sys: SynthesisSystem, p: np.ndarray) -> np.ndarray:
         return U @ _adjoint(U, p)
     n = p.size
     phi = sys._multiplier
-    if phi is not None:
-        p = phi.conj() * p
-    q = np.fft.ifft(sys._circulant * np.fft.fft(p, 2 * n))[:n]
-    return q if phi is None else phi * q
+    q = np.fft.ifft(sys._circulant * np.fft.fft(phi.conj() * p, 2 * n))[:n]
+    return phi * q
 
 
 def analyze(sys: SynthesisSystem, f: SampledFunction) -> np.ndarray:
     """Analysis coefficients <f, psi_k> for every member."""
     if not f.grid.matches(sys.grid):
         raise GridMismatchError("function and system live on different grids")
-    return _adjoint(sys.weighted, np.sqrt(sys.grid.weights) * f.values)
+    return _adjoint(sys.matrix, sys.grid.weights * f.values)
 
 
 def synthesize(sys: SynthesisSystem, coeffs) -> SampledFunction:
@@ -493,11 +487,8 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
         nz = np.clip(eigs_g[::-1], 0.0, None)[: min(n, k)]
         spectrum = np.concatenate([nz, np.zeros(n - nz.size)])
 
-    lam_max = float(spectrum[0]) if spectrum.size else 0.0
-    if lam_max <= 0.0:
-        retained = np.empty(0)
-    else:
-        retained = spectrum[spectrum > rank_tol * lam_max]
+    lam_max = float(spectrum[0])
+    retained = spectrum[spectrum > rank_tol * lam_max]
     rank = int(retained.size)
     upper = lam_max
     lower = float(retained[-1]) if rank else 0.0
@@ -570,14 +561,16 @@ def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = RECON_TOL
         raise GridMismatchError("function and system live on different grids")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    U = sys.weighted
-    b = np.sqrt(sys.grid.weights) * f.values
+    # the weights go on vectors, so a structured system never forms ``weighted``
+    U = sys.matrix
+    sw = np.sqrt(sys.grid.weights)
+    b = sw * f.values
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return ReconstructionResult(np.zeros(sys.size, dtype=complex), 0.0, 0)
 
     u_scale = sys._scale
-    if u_scale == 0.0 or float(np.linalg.norm(_adjoint(U, b))) <= 1e-12 * u_scale * b_norm:
+    if u_scale == 0.0 or float(np.linalg.norm(_adjoint(U, sw * b))) <= 1e-12 * u_scale * b_norm:
         raise NotInSpanError(
             "target is not in span: residual 1.000e+00 is invisible to the system",
             residual=1.0,
@@ -615,12 +608,12 @@ def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = RECON_TOL
 
     residual_vec = b - _apply_frame_operator(sys, best_x)
     residual = float(np.linalg.norm(residual_vec)) / b_norm
-    coeffs = _adjoint(U, best_x)
+    coeffs = _adjoint(U, sw * best_x)
     if residual > tol:
         # CG on a target with a part off the span can stall anywhere, so the
         # off-span share is measured directly: the least-squares residual of b
-        fit = np.linalg.lstsq(U, b, rcond=None)[0]
-        off_span = float(np.linalg.norm(b - U @ fit)) / b_norm
+        fit = np.linalg.lstsq(sys.weighted, b, rcond=None)[0]
+        off_span = float(np.linalg.norm(b - sys.weighted @ fit)) / b_norm
         if off_span > tol:
             raise NotInSpanError(
                 f"target is not in span: residual {off_span:.3e} is invisible to the system",

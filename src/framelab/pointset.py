@@ -113,7 +113,12 @@ class PointSet:
 
     @classmethod
     def from_dict(cls, d) -> "PointSet":
-        return cls(d["points"], d["box"])
+        """Inverse of ``to_dict``; a ``dim``, when present, must match the points."""
+        ps = cls(d["points"], d["box"])
+        dim = d.get("dim", ps.dim)
+        if isinstance(dim, bool) or dim != ps.dim:
+            raise ValueError(f"dim {dim!r} does not match {ps.dim}-D points")
+        return ps
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -1047,6 +1047,18 @@ def _dft_frame_bounds(workdir):
             "grid": {"n_per_unit": 64}}
 
 
+def test_failed_spectral_cross_check_exits_3(workdir, capsys, monkeypatch):
+    import framelab.framecore as framecore
+
+    original = framecore._gram_operator
+    monkeypatch.setattr(framecore, "_gram_operator", lambda s: original(s) * (1 + 1e-6))
+    cfg_path = write_json(workdir / "cfg.json", _dft_frame_bounds(workdir))
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 3
+    err = capsys.readouterr().err
+    assert "spectral cross-check failed" in err
+    assert "Traceback" not in err
+
+
 def _reconstruct(workdir):
     band = write_json(workdir / "band.json", {"intervals": [[-0.4, 0.4]]})
     return {"command": "reconstruct",
@@ -1157,6 +1169,17 @@ def test_one_point_set_has_no_separation_exit_2(workdir, capsys, command, name, 
     err = capsys.readouterr().err
     assert f"{name}: bad point set" in err and "at least two points" in err
     assert "Traceback" not in err
+
+
+def test_json_point_set_with_a_wrong_dim_exits_2(workdir, capsys):
+    (workdir / "mismatch.json").write_text('{"dim": 2, "box": [[0, 1]], "points": [[0.2], [0.7]]}')
+    inputs = {"pointset": str(workdir / "mismatch.json")}
+    cfg_path = write_json(workdir / "cfg.json", {"command": "gap", "inputs": inputs})
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "mismatch.json: bad point set" in err and "dim 2" in err
+    assert "Traceback" not in err
+    assert not (workdir / "report.json").exists()
 
 
 def _bump_nan_delta(workdir):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab.errors import FrameLabError
+from framelab.errors import ConfigError, FrameLabError
 from framelab.pointset import (
     PointSet,
     beurling_1d_frame_predicate,
@@ -85,6 +85,21 @@ def test_pointset_io_round_trips(tmp_path):
     # box defaults to the coordinate hull when absent
     hull = PointSet.from_csv(cpath)
     assert hull.box == ((0.0, 2.0), (0.25, 1.5))
+
+
+def test_pointset_json_dim_must_match_points(tmp_path):
+    d = {"dim": 2, "box": [[0, 1]], "points": [[0.2], [0.7]]}
+    for dim in (2, "1", True):
+        with pytest.raises(ValueError, match=f"dim {dim!r} does not match 1-D points"):
+            PointSet.from_dict({**d, "dim": dim})
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigError, match="mismatch.json: bad point set"):
+        load_pointset(path)
+    # an integral float matches, and without a dim the points decide it
+    assert PointSet.from_dict({**d, "dim": 1.0}).dim == 1
+    del d["dim"]
+    assert PointSet.from_dict(d).dim == 1
 
 
 # --- separation / gap ---------------------------------------------------------

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 import framelab.framecore as framecore
 from framelab.domain import Domain, SampledFunction, make_grid
+from framelab.errors import FrameLabError
 from framelab.framecore import (
     SynthesisSystem,
+    _apply_frame_operator,
     _frame_operator,
+    _gram_operator,
     _real_form,
     _toeplitz,
     exponential_system,
@@ -71,6 +74,47 @@ def test_structured_spectra_match_dense(seed, a, length, n_nodes, n_members):
     dense_mult = dense_spectrum(mult)
     structured = np.linalg.eigvalsh(_frame_operator(mult))
     assert np.abs(structured - dense_mult).max() <= 1e-12 * dense_mult[-1]
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=4, max_value=100),
+    st.sampled_from(["K < n", "K = n", "K > n"]),
+)
+def test_bare_system_is_its_product_with_ones(seed, n_per_unit, shape):
+    """The bare exponential system on an off-centre interval is its own
+    product with phi = 1, to the bit, on every structured route."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3.0, 3.0)
+    length = rng.uniform(0.5, 2.0)
+    grid = make_grid(Domain([(a, a + length)]), n_per_unit)
+    n = grid.size
+    k = {"K < n": max(1, n // 2), "K = n": n, "K > n": 2 * n}[shape]
+    lam = (np.arange(k) - k // 2 + rng.uniform(-0.3, 0.3, k)) / length
+    bare = exponential_system(grid, PointSet.from_1d(lam))
+    ones = multiply_system(bare, SampledFunction(grid, np.ones(n)))
+    assert np.array_equal(bare._multiplier, np.ones(n))
+
+    S = _frame_operator(bare)
+    assert S.dtype == np.float64
+    assert np.array_equal(S, _frame_operator(ones))
+    assert np.array_equal(_gram_operator(bare), _gram_operator(ones))
+    p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.array_equal(_apply_frame_operator(bare, p), _apply_frame_operator(ones, p))
+    assert measure_bounds(bare).to_dict() == measure_bounds(ones).to_dict()
+
+
+@pytest.mark.parametrize("structured", [True, False])
+def test_disagreeing_s_and_gram_spectra_fail_the_cross_check(monkeypatch, structured):
+    grid = make_grid(Domain([(0.0, 1.0)]), 64)
+    sys = dft_base(grid) if structured else SynthesisSystem(grid, dft_base(grid).matrix)
+    assert (sys._column is not None) == structured
+    assert measure_bounds(sys).spectra_cross_checked
+    original = framecore._gram_operator
+    monkeypatch.setattr(framecore, "_gram_operator", lambda s: original(s) * (1 + 1e-6))
+    with pytest.raises(FrameLabError, match="spectral cross-check failed"):
+        measure_bounds(sys)
 
 
 def test_toeplitz_column_matches_dense_operator():
