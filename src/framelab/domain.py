@@ -121,14 +121,14 @@ def dilate(dom: Domain, delta: float) -> Domain:
 class Grid:
     """Midpoint-rule quadrature nodes over a Domain.
 
-    Nodes are cell midpoints, weights are cell widths, so ``sum(weights)``
-    equals the domain measure up to roundoff.  Grids are value objects and are
-    never mutated after construction.
+    Nodes are cell midpoints and weights cell widths, equal on each interval
+    (``steps``; ``interval_index`` names each node's interval) and summing to
+    the domain measure up to roundoff.  Grids are value objects, never mutated.
     """
 
     __slots__ = ("domain", "nodes", "weights", "n_per_unit", "interval_index", "steps")
 
-    def __init__(self, domain, nodes, weights, n_per_unit=None, interval_index=None, steps=None):
+    def __init__(self, domain, nodes, weights, n_per_unit=None, *, interval_index, steps):
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
@@ -146,10 +146,8 @@ class Grid:
         self.nodes = nodes
         self.weights = weights
         self.n_per_unit = n_per_unit
-        if interval_index is None:
-            interval_index = np.zeros(nodes.size, dtype=int)
         self.interval_index = np.asarray(interval_index, dtype=int)
-        self.steps = tuple(steps) if steps is not None else None
+        self.steps = tuple(steps)
 
     @property
     def size(self) -> int:
@@ -224,8 +222,6 @@ def extend_grid(grid: Grid, cells_left: int, cells_right: int) -> Grid:
     """
     if cells_left < 0 or cells_right < 0:
         raise ValueError("cell counts must be nonnegative")
-    if grid.steps is None:
-        raise ValueError("grid does not carry per-interval steps")
     ivs = [list(iv) for iv in grid.domain.intervals]
     parts_n, parts_w, parts_i = [grid.nodes], [grid.weights], [grid.interval_index]
     if cells_left:

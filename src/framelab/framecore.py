@@ -53,20 +53,20 @@ other system stays dense.
 The member matrix U of an exponential system, and of a product with a
 multiplier, is deferred: it is formed on first access to ``matrix`` and
 then cached, so measuring the bounds of a structured system whose S and G
-both take a real form never forms it.  On a uniform grid neither U nor its
-column needs n K exps: writing j = m B + r with B = ceil(sqrt(n)) and z_k =
-e^{-2 pi i h lambda_k}, U[j, k] = e^{-2 pi i t_0 lambda_k} (z_k^B)^m z_k^r,
-each factor a row of a ceil(n/B) x K or B x K matrix of powers taken from
-the last by a running product.  U is then one broadcast product of the two
-from 3K exps, with every phase reduced mod 1 before its exp, and is as
-accurate as the n K exps (both within a few eps 2 pi |t| |lambda| of the
-exact values); the column c_j = h sum_k (z_k^B)^m z_k^r is one small matrix
-product of powers of the same z_k, 2K exps in O(sqrt(n) K) memory.
-Reconstruction, analysis, synthesis, the Gram spectrum and the padded and
-stacked systems of the checks read U, which is formed once per system.  U
-moves only in its last bits against the n K exps, so reports across such a
-change are compared by value (``tools/report_digest.py --compare``), not by
-bytes.
+both take a real form never forms it.  A grid is uniform on each interval,
+and U stacks one block per interval from running powers instead of n K
+exps: for m nodes of step h, with j = q B + r, B = ceil(sqrt(m)) and z_k =
+e^{-2 pi i h lambda_k}, U[j, k] = u_k (z_k^B)^q z_k^r, each factor a row of
+a ceil(m/B) x K or B x K matrix of powers, every phase reduced mod 1 before
+its exp.  The first row u_k = e^{-2 pi i (t_0 + d) lambda_k} takes the
+grid's first node t_0 and the block's offset d from it, found from the
+interval ends and never from the rounded nodes, so translating the band
+moves t_0 alone, a unimodular constant on each column, and no bound.  U is
+as accurate as n K exps (both within a few eps 2 pi |t| |lambda| of the
+exact values); a one-interval grid's column c_j = h sum_k (z_k^B)^q z_k^r
+is one small matrix product of the same powers, 2K exps in O(sqrt(n) K)
+memory.  Reconstruction, analysis, synthesis, the Gram spectrum and the
+padded and stacked systems of the checks read U, formed once per system.
 """
 
 from __future__ import annotations
@@ -246,30 +246,36 @@ def _cis(x: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * (x - np.round(x)))
 
 
-def _uniform_matrix(t0: float, h: float, lam: np.ndarray, n: int) -> np.ndarray:
-    """U[j, k] = exp(-2 pi i (t0 + j h) lambda_k) for j < n, by the factored
-    product of the module notes: 3K exps and one broadcast product."""
+def _uniform_matrix(start: np.ndarray, h: float, lam: np.ndarray, n: int) -> np.ndarray:
+    """U[j, k] = start_k exp(-2 pi i j h lambda_k) for j < n, by the factored
+    product of the module notes: 2K exps and one broadcast product."""
     b = math.isqrt(n - 1) + 1
-    coarse = _powers(_cis(b * h * lam), -(-n // b), start=_cis(t0 * lam))
+    coarse = _powers(_cis(b * h * lam), -(-n // b), start=start)
     return (coarse[:, None, :] * _powers(_cis(h * lam), b)).reshape(-1, lam.size)[:n]
 
 
 def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
     """Members exp(-2 pi i lambda_k t) on g's nodes, labeled by lambda_k.
 
-    The member matrix is formed only when read: from running powers on a
-    uniform one-interval grid, where the system also keeps its Toeplitz
-    column, and from n K exps elsewhere (see the module notes)."""
+    The member matrix is formed only when read, one block of running powers
+    per interval of the grid; a one-interval system also keeps its Toeplitz
+    column (see the module notes)."""
     if ps.dim != 1:
         raise ValueError("exponential systems take 1-D frequency sets")
     lam = ps.xs
-    if g.steps is None or len(g.steps) != 1:
-        return SynthesisSystem._deferred(
-            g, lam, lambda: np.exp(-2j * np.pi * np.outer(g.nodes, lam)))
-    h, n = g.steps[0], g.size
-    sys = SynthesisSystem._deferred(g, lam, lambda: _uniform_matrix(g.nodes[0], h, lam, n))
-    sys._column = _toeplitz_column(h, lam, n)
-    sys._multiplier = np.ones(n)
+    counts = np.bincount(g.interval_index)
+
+    def build():
+        first = _cis(g.nodes[0] * lam)
+        (a0, _), h0 = g.domain.intervals[0], g.steps[0]
+        blocks = [_uniform_matrix(first * _cis(((a - a0) + (h - h0) / 2) * lam), h, lam, m)
+                  for (a, _), h, m in zip(g.domain.intervals, g.steps, counts)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    sys = SynthesisSystem._deferred(g, lam, build)
+    if counts.size == 1:
+        sys._column = _toeplitz_column(g.steps[0], lam, g.size)
+        sys._multiplier = np.ones(g.size)
     return sys
 
 
@@ -345,7 +351,7 @@ def _gram_operator(sys: SynthesisSystem) -> np.ndarray:
         return U.conj().T @ U
     h, n = sys.grid.steps[0], sys.grid.size
     lam = np.asarray(sys.labels, dtype=float)
-    V = math.sqrt(h) * _uniform_matrix(-(n - 1) * h / 2, h, lam, n)
+    V = math.sqrt(h) * _uniform_matrix(_cis(-(n - 1) * h / 2 * lam), h, lam, n)
     V *= sys._multiplier[:, None]
     A = np.concatenate([V.real, V.imag])
     return A.T @ A
@@ -475,17 +481,13 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
         raise FrameLabError(
             f"system of size {n} x {k} exceeds the dense spectral budget"
         )
-    eigs_s = eigs_g = None
+    s_desc = g_desc = None
     if n <= _FULL_SPECTRUM_LIMIT:
-        eigs_s = _eigvalsh(_frame_operator, sys, "frame operator")
+        s_desc = np.clip(_eigvalsh(_frame_operator, sys, "frame operator")[::-1], 0.0, None)
     if k <= _FULL_SPECTRUM_LIMIT:
-        eigs_g = _eigvalsh(_gram_operator, sys, "Gram matrix")
-
-    if eigs_s is not None:
-        spectrum = np.clip(eigs_s[::-1], 0.0, None)
-    else:
-        nz = np.clip(eigs_g[::-1], 0.0, None)[: min(n, k)]
-        spectrum = np.concatenate([nz, np.zeros(n - nz.size)])
+        g_desc = np.clip(_eigvalsh(_gram_operator, sys, "Gram matrix")[::-1], 0.0, None)
+    m = min(n, k)
+    spectrum = s_desc if s_desc is not None else np.concatenate([g_desc[:m], np.zeros(n - m)])
 
     lam_max = float(spectrum[0])
     retained = spectrum[spectrum > rank_tol * lam_max]
@@ -494,19 +496,17 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
     lower = float(retained[-1]) if rank else 0.0
 
     cross_checked = False
-    if eigs_s is not None and eigs_g is not None:
-        s_desc = np.clip(eigs_s[::-1], 0.0, None)[: min(n, k)]
-        g_desc = np.clip(eigs_g[::-1], 0.0, None)[: min(n, k)]
-        keep = np.maximum(s_desc, g_desc) > rank_tol * max(lam_max, 1e-300)
-        if not np.allclose(s_desc[keep], g_desc[keep], rtol=1e-9, atol=1e-12 * max(lam_max, 1.0)):
+    if s_desc is not None and g_desc is not None:
+        s_nz, g_nz = s_desc[:m], g_desc[:m]
+        keep = np.maximum(s_nz, g_nz) > rank_tol * max(lam_max, 1e-300)
+        if not np.allclose(s_nz[keep], g_nz[keep], rtol=1e-9, atol=1e-12 * max(lam_max, 1.0)):
             raise FrameLabError("spectral cross-check failed: S and Gram spectra disagree")
         cross_checked = True
 
     gram_extremes = None
     riesz = False
-    if k <= n and eigs_g is not None:
-        g_min = float(max(eigs_g[0], 0.0))
-        g_max = float(max(eigs_g[-1], 0.0))
+    if k <= n:
+        g_min, g_max = float(g_desc[-1]), float(g_desc[0])
         gram_extremes = (g_min, g_max)
         riesz = g_max > 0.0 and g_min > rank_tol * g_max
 

@@ -89,9 +89,17 @@ class Generator:
 
     def time_values(self, x) -> np.ndarray:
         """h(x) = integral of hhat(w) e^{2 pi i w x} dw by grid quadrature."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        kernel = np.exp(2j * np.pi * np.outer(x, self.grid.nodes))
-        return kernel @ (self.grid.weights * self.hat.values)
+        return self._kernel(x) @ (self.grid.weights * self.hat.values)
+
+    def translate_values(self, x, ps: PointSet) -> np.ndarray:
+        """h(x_j - lambda_k) for every x_j and lambda_k: the members e_lambda
+        hhat of the translate system taken to time by one quadrature kernel."""
+        spectra = exponential_system(self.grid, ps).matrix
+        spectra *= (self.grid.weights * self.hat.values)[:, None]
+        return self._kernel(x) @ spectra
+
+    def _kernel(self, x) -> np.ndarray:
+        return np.exp(2j * np.pi * np.outer(x, self.grid.nodes))
 
     @property
     def norm_sq(self) -> float:
@@ -714,10 +722,10 @@ def time_frame_sum(gen: Generator, ps: PointSet, f_hat: SampledFunction,
     """sum_k |<f, h(. - lambda_k)>|^2 by time-domain quadrature.
 
     Both f and h are evaluated in time from their grid spectra.  With the
-    default window (half width 1/(2 * node spacing) on a uniform grid) the
-    discrete time sum reproduces the frequency-side sum exactly: the node
-    frequency differences are multiples of the spacing, and those exponentials
-    integrate to zero over the matched window.
+    default window (half width 1/(2 * spacing), for nodes on one lattice
+    nodes[0] + k * spacing) the discrete time sum reproduces the frequency-side
+    sum exactly: the node frequency differences are multiples of the spacing,
+    and those exponentials integrate to zero over the matched window.
     """
     grid = gen.grid
     if not f_hat.grid.matches(grid):
@@ -726,7 +734,8 @@ def time_frame_sum(gen: Generator, ps: PointSet, f_hat: SampledFunction,
     omega = grid.nodes
     if half_width is None:
         step = float(w[0])
-        if not np.allclose(w, step, rtol=1e-12, atol=0):
+        k = (omega - omega[0]) / step
+        if not np.allclose(w, step, rtol=1e-12, atol=0) or np.abs(k - np.rint(k)).max() > 1e-9:
             raise FrameLabError("matched window needs a uniform grid; pass half_width")
         half_width = 1.0 / (2.0 * step)
     span = float(omega[-1] - omega[0])
@@ -736,11 +745,8 @@ def time_frame_sum(gen: Generator, ps: PointSet, f_hat: SampledFunction,
         m_steps = max(1, int(math.ceil(2.0 * half_width / dt)))
     dt = 2.0 * half_width / m_steps
     x = -half_width + (np.arange(m_steps) + 0.5) * dt
-    kernel = np.exp(2j * np.pi * np.outer(x, omega))
-    f_time = kernel @ (w * f_hat.values)
-    shifts = np.exp(-2j * np.pi * np.outer(omega, ps.xs))
-    h_shifted = kernel @ (w[:, None] * gen.hat.values[:, None] * shifts)
-    inner_products = dt * (h_shifted.conj().T @ f_time)
+    f_time = Generator(f_hat).time_values(x)
+    inner_products = dt * (gen.translate_values(x, ps).conj().T @ f_time)
     return float(np.vdot(inner_products, inner_products).real)
 
 
@@ -752,10 +758,7 @@ def expansion_tail_profile(gen: Generator, ps: PointSet, alphas, xs, radii) -> d
     lam = ps.xs
     if alphas.shape != lam.shape:
         raise ValueError("one coefficient per point required")
-    grid = gen.grid
-    kernel = np.exp(2j * np.pi * np.outer(xs, grid.nodes))
-    shifts = np.exp(-2j * np.pi * np.outer(grid.nodes, lam))
-    g_shifted = kernel @ (grid.weights[:, None] * gen.hat.values[:, None] * shifts)
+    g_shifted = gen.translate_values(xs, ps)
     tail_max, cs_bound = [], []
     for r in radii:
         mask = np.abs(lam) > r

@@ -572,6 +572,24 @@ def test_time_sum_needs_uniform_grid_or_window():
     assert np.isfinite(val) and val >= 0.0
 
 
+@pytest.mark.parametrize("second, on_lattice", [((0.75, 1.25), True), ((0.7, 1.2), False)])
+def test_matched_window_needs_every_node_on_one_lattice(second, on_lattice):
+    # both pieces have step 1/32; the second one's nodes lie on the first
+    # one's lattice only when its start is a multiple of the step away
+    g = make_grid(Domain([(0.0, 0.5), second]), 32)
+    w = g.nodes
+    gen = Generator(SampledFunction(g, 2.0 + np.sin(2 * np.pi * w) + 0.5j * np.cos(2 * np.pi * w)))
+    ps = PointSet.from_1d([-3.7, -1.2, 0.0, 2.4, 7.9])
+    rng = np.random.default_rng(5)
+    f_hat = SampledFunction(g, rng.normal(size=g.size) + 1j * rng.normal(size=g.size))
+    if on_lattice:
+        assert time_frame_sum(gen, ps, f_hat) == pytest.approx(
+            frequency_frame_sum(gen, ps, f_hat), rel=1e-12)
+    else:
+        with pytest.raises(FrameLabError, match="uniform grid"):
+            time_frame_sum(gen, ps, f_hat)
+
+
 def test_time_sum_grid_mismatch():
     g = make_grid(E, 32)
     gen = Generator(SampledFunction(g, np.ones(32)))
