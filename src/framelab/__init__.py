@@ -11,7 +11,6 @@ from .domain import (
     Grid,
     SampledFunction,
     dilate,
-    extend_grid,
     indicator,
     inner,
     load_domain,

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid
+from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid, nodes_resolved
 from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
 from .expr import parse_multiplier
 from .framecore import MAX_ITER, RANK_TOL, RECON_TOL, exponential_system, measure_bounds
@@ -415,13 +415,17 @@ def _write_csv(path: str, table: Table) -> None:
 
 def _check_nodes(dom, cfg: RunConfig, sweep: bool = False) -> None:
     """A ConfigError naming the key when a grid of ``dom`` at ``n_per_unit``
-    (or, for a sweep, at any refinement level) would pass MAX_GRID_NODES."""
+    (or, for a sweep, at any refinement level) would pass MAX_GRID_NODES or
+    have nodes that double precision cannot tell apart."""
     key, levels = ("grid/refine", cfg.refine) if sweep else ("grid/n_per_unit", [cfg.n_per_unit])
     for n_per_unit in levels:
         nodes = grid_size(dom, n_per_unit)
         if nodes > MAX_GRID_NODES:
             raise ConfigError(f"{key}: {n_per_unit} nodes per unit length make a grid of "
                               f"{nodes} nodes, above the cap of {MAX_GRID_NODES}")
+        if not nodes_resolved(dom, n_per_unit):
+            raise ConfigError(f"{key}: {n_per_unit} nodes per unit length space the grid "
+                              f"nodes of {dom.intervals} closer than double precision resolves")
 
 
 def _grid(cfg: RunConfig, dom):

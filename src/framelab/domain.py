@@ -24,7 +24,7 @@ __all__ = [
     "dilate",
     "make_grid",
     "grid_size",
-    "extend_grid",
+    "nodes_resolved",
     "inner",
     "indicator",
     "load_domain",
@@ -186,6 +186,20 @@ def grid_size(dom: Domain, n_per_unit: int) -> float:
         return math.inf
 
 
+def nodes_resolved(dom: Domain, n_per_unit: int) -> bool:
+    """Whether ``make_grid(dom, n_per_unit)`` has strictly increasing nodes in
+    double precision, found without allocating: a node is a plus an offset
+    rounded within half the spacing of the length, and sums more than the
+    spacing at the interval's larger end apart round apart, so a step above
+    the two spacings together is enough."""
+    for a, b in dom.intervals:
+        length = b - a
+        step = length / _cells(length, n_per_unit)
+        if step <= np.spacing(max(abs(a), abs(b))) + np.spacing(length):
+            return False
+    return True
+
+
 def make_grid(dom: Domain, n_per_unit: int) -> Grid:
     """Midpoint grid with ceil(length * n_per_unit) equal cells per interval.
 
@@ -212,41 +226,6 @@ def make_grid(dom: Domain, n_per_unit: int) -> Grid:
         n_per_unit=n_per_unit,
         interval_index=np.concatenate(index),
         steps=steps,
-    )
-
-
-def extend_grid(grid: Grid, cells_left: int, cells_right: int) -> Grid:
-    """Pad the outer ends of a grid with extra cells of the boundary cell width.
-
-    The original nodes are preserved exactly; only the ambient domain grows.
-    """
-    if cells_left < 0 or cells_right < 0:
-        raise ValueError("cell counts must be nonnegative")
-    ivs = [list(iv) for iv in grid.domain.intervals]
-    parts_n, parts_w, parts_i = [grid.nodes], [grid.weights], [grid.interval_index]
-    if cells_left:
-        step = grid.steps[0]
-        a = ivs[0][0]
-        left = a - step * np.arange(cells_left, 0, -1) + step / 2.0
-        parts_n.insert(0, left)
-        parts_w.insert(0, np.full(cells_left, step))
-        parts_i.insert(0, np.zeros(cells_left, dtype=int))
-        ivs[0][0] = a - cells_left * step
-    if cells_right:
-        step = grid.steps[-1]
-        b = ivs[-1][1]
-        right = b + step * np.arange(cells_right) + step / 2.0
-        parts_n.append(right)
-        parts_w.append(np.full(cells_right, step))
-        parts_i.append(np.full(cells_right, len(ivs) - 1, dtype=int))
-        ivs[-1][1] = b + cells_right * step
-    return Grid(
-        Domain(ivs),
-        np.concatenate(parts_n),
-        np.concatenate(parts_w),
-        n_per_unit=grid.n_per_unit,
-        interval_index=np.concatenate(parts_i),
-        steps=grid.steps,
     )
 
 

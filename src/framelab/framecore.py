@@ -66,7 +66,9 @@ as accurate as n K exps (both within a few eps 2 pi |t| |lambda| of the
 exact values); a one-interval grid's column c_j = h sum_k (z_k^B)^q z_k^r
 is one small matrix product of the same powers, 2K exps in O(sqrt(n) K)
 memory.  Reconstruction, analysis, synthesis, the Gram spectrum and the
-padded and stacked systems of the checks read U, formed once per system.
+stacked union system read U, formed once per system; the time kernel of a
+translate system is the conjugate transpose of ``_exponential_matrix``
+along the time points.
 """
 
 from __future__ import annotations
@@ -254,26 +256,27 @@ def _uniform_matrix(start: np.ndarray, h: float, lam: np.ndarray, n: int) -> np.
     return (coarse[:, None, :] * _powers(_cis(h * lam), b)).reshape(-1, lam.size)[:n]
 
 
+def _exponential_matrix(g: Grid, lam: np.ndarray) -> np.ndarray:
+    """U[j, k] = exp(-2 pi i t_j lambda_k) on g's nodes t_j, one block of
+    running powers per interval of the grid (see the module notes)."""
+    first = _cis(g.nodes[0] * lam)
+    (a0, _), h0 = g.domain.intervals[0], g.steps[0]
+    blocks = [_uniform_matrix(first * _cis(((a - a0) + (h - h0) / 2) * lam), h, lam, m)
+              for (a, _), h, m in zip(g.domain.intervals, g.steps, np.bincount(g.interval_index))]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
     """Members exp(-2 pi i lambda_k t) on g's nodes, labeled by lambda_k.
 
-    The member matrix is formed only when read, one block of running powers
-    per interval of the grid; a one-interval system also keeps its Toeplitz
-    column (see the module notes)."""
+    The member matrix is formed by ``_exponential_matrix`` only when read; a
+    one-interval system also keeps its Toeplitz column (see the module
+    notes)."""
     if ps.dim != 1:
         raise ValueError("exponential systems take 1-D frequency sets")
     lam = ps.xs
-    counts = np.bincount(g.interval_index)
-
-    def build():
-        first = _cis(g.nodes[0] * lam)
-        (a0, _), h0 = g.domain.intervals[0], g.steps[0]
-        blocks = [_uniform_matrix(first * _cis(((a - a0) + (h - h0) / 2) * lam), h, lam, m)
-                  for (a, _), h, m in zip(g.domain.intervals, g.steps, counts)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-    sys = SynthesisSystem._deferred(g, lam, build)
-    if counts.size == 1:
+    sys = SynthesisSystem._deferred(g, lam, lambda: _exponential_matrix(g, lam))
+    if len(g.steps) == 1:
         sys._column = _toeplitz_column(g.steps[0], lam, g.size)
         sys._multiplier = np.ones(g.size)
     return sys

@@ -26,6 +26,7 @@ from .framecore import (
     RECON_TOL,
     FrameReport,
     SynthesisSystem,
+    _exponential_matrix,
     analyze,
     exponential_system,
     measure_bounds,
@@ -99,7 +100,11 @@ class Generator:
         return self._kernel(x) @ spectra
 
     def _kernel(self, x) -> np.ndarray:
-        return np.exp(2j * np.pi * np.outer(x, self.grid.nodes))
+        """exp(2 pi i x_m omega_j): the conjugate transpose of the exponential
+        system along x.  Its first-row phase, constant for each x_m, cancels
+        between f and h in every inner product the time side takes."""
+        members = _exponential_matrix(self.grid, np.asarray(x, dtype=float).ravel())
+        return np.conjugate(members, out=members).T
 
     @property
     def norm_sq(self) -> float:

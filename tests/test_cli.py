@@ -342,6 +342,28 @@ def test_over_budget_system_exits_3_before_forming_members(workdir, capsys, comm
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("n_per_unit", [1009, 1024])
+def test_frame_sequence_check_at_the_dense_budget(workdir, n_per_unit):
+    # 1280 members: only S fits the budget, and the check judges the
+    # product's own system, with nothing padded past the grid
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    rng = np.random.default_rng(1)
+    pts = write_points(workdir / "pts.csv", np.arange(1280) - 640 + rng.uniform(-0.2, 0.2, 1280))
+    out = str(workdir / "report.json")
+    cfg_path = write_json(workdir / "cfg.json", {
+        "command": "mult-check",
+        "inputs": {"domain": dom, "pointset": pts,
+                   "multiplier": {"expr": "piecewise([0, 0.5]: 1 + t)"},
+                   "check": "frame_sequence", "sweep": False},
+        "grid": {"n_per_unit": n_per_unit},
+    })
+    assert main(["--config", cfg_path, "--out", out]) == 0
+    check = read_report(out)["results"]["check"]
+    assert check["details"]["ambient_invariant"] is True
+    assert check["details"]["ambient_bounds"] == [check["multiplied"]["lower"],
+                                                  check["multiplied"]["upper"]]
+
+
 def test_mult_check_hypothesis_failure_is_exit_3(workdir, capsys):
     dom = write_json(workdir / "dom.json", {"intervals": E_INTERVALS})
     pts = write_points(workdir / "pts.csv", [0.0, 1.0, 2.0])
@@ -1279,6 +1301,25 @@ def test_config_past_a_size_cap_exits_2_before_allocating(workdir, capsys, comma
     assert key in capsys.readouterr().err
     # a grid of 2**20 nodes alone holds 24 MB of nodes, weights and indices
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("command, interval, grid, key", [
+    ("frame-bounds", [1e12, 1e12 + 1], {"n_per_unit": 16384}, "grid/n_per_unit"),
+    ("frame-bounds", [1e16, 1e16 + 2], {"n_per_unit": 4}, "grid/n_per_unit"),
+    ("mult-check", [1e12, 1e12 + 1], {"refine": [8192, 16384]}, "grid/refine"),
+])
+def test_grid_steps_below_double_precision_are_exit_2(workdir, capsys, command, interval,
+                                                      grid, key):
+    # far from the origin a fine step falls below the spacing of the floats,
+    # so the midpoints would not be strictly increasing
+    far = write_json(workdir / "far.json", {"intervals": [interval]})
+    out = workdir / "report.json"
+    assert main(["--config", _oversized(workdir, command, grid, domain=far),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err and "double precision" in err
+    assert not out.exists()
 
 
 def test_grid_cap_counts_the_domain_measure(workdir, capsys):

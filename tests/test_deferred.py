@@ -210,6 +210,27 @@ def test_frame_check_past_the_gram_budget_forms_no_matrix(monkeypatch):
     assert peak < 32 * 2**20
 
 
+def test_frame_sequence_check_forms_no_matrix(monkeypatch):
+    # a support symmetric about the band's centre keeps both moduli mirrored,
+    # so S and G of the base and of the product all take their real forms
+    grid = make_grid(Domain([(-0.5, 0.5)]), 96)
+    chi = SampledFunction(grid, (np.abs(grid.nodes) < 0.25).astype(complex))
+    products = []
+    original = SynthesisSystem.multiplied
+
+    def recording(self, values):
+        out = original(self, values)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(SynthesisSystem, "multiplied", recording)
+    sys = exponential_system(grid, jittered_lattice(120, 3))
+    rep = check_frame_sequence_multiplication(sys, chi)
+    assert rep.consistent and rep.details["rank_matches_support"]
+    assert len(products) == 1
+    assert not formed(sys) and not formed(products[0])
+
+
 def test_budget_is_checked_before_the_matrix_is_formed():
     grid = make_grid(Domain([(0.0, 1.0)]), 1100)
     sys = exponential_system(grid, jittered_lattice(1100, 2))

@@ -10,7 +10,6 @@ from framelab.domain import (
     Domain,
     SampledFunction,
     dilate,
-    extend_grid,
     grid_size,
     indicator,
     inner,
@@ -118,19 +117,6 @@ def test_grid_matches_structural():
     g3 = make_grid(Domain([(0.0, 1.0)]), 32)
     assert g1.matches(g2)
     assert not g1.matches(g3)
-
-
-def test_extend_grid_preserves_nodes_exactly():
-    g = make_grid(Domain([(0.0, 1.0)]), 16)
-    ext = extend_grid(g, 3, 5)
-    assert ext.size == g.size + 8
-    assert np.array_equal(ext.nodes[3 : 3 + g.size], g.nodes)
-    assert np.array_equal(ext.weights[3 : 3 + g.size], g.weights)
-    step = g.weights[0]
-    assert np.isclose(ext.domain.intervals[0][0], -3 * step)
-    assert np.isclose(ext.domain.intervals[0][1], 1.0 + 5 * step)
-    with pytest.raises(ValueError):
-        extend_grid(g, -1, 0)
 
 
 # --- SampledFunction + inner -------------------------------------------------

@@ -178,15 +178,15 @@ def test_dense_route_for_multi_interval_grids_and_raw_matrices(monkeypatch):
     assert uniform.permuted(range(lam.size - 1, -1, -1))._column is None
 
 
-def test_padded_ambient_system_takes_dense_route(monkeypatch):
+def test_frame_sequence_check_takes_only_the_structured_routes(monkeypatch):
     routes = record_routes(monkeypatch)
     g = make_grid(Domain([(0.0, 1.0)]), 64)
     sys = dft_base(g)
     chi = SampledFunction(g, (g.nodes < 0.5).astype(complex))
     rep = check_frame_sequence_multiplication(sys, chi)
     assert rep.details["ambient_invariant"] and rep.details["rank_matches_support"]
-    # base and multiplied systems structured; the padded one is dense
-    assert routes == [(g.size, True), (g.size, True), (g.size + 16, False)]
+    # base and multiplied systems structured, and no third (padded) system
+    assert routes == [(g.size, True), (g.size, True)]
 
 
 def test_converse_composes_multiplier_with_its_inverse():

@@ -547,17 +547,21 @@ def test_union_sweep_needs_two_levels():
 
 
 def test_time_and_frequency_sums_agree():
-    g = make_grid(E, 64)
-    w = g.nodes
-    gen = Generator(SampledFunction(g, 2.0 + np.sin(2 * np.pi * w) + 0.5j * np.cos(2 * np.pi * w)))
-    ps = PointSet.from_1d([-3.7, -1.2, 0.0, 2.4, 7.9])
-    rng = np.random.default_rng(11)
-    f_hat = SampledFunction(g, rng.normal(size=64) + 1j * rng.normal(size=64))
-    sf = frequency_frame_sum(gen, ps, f_hat)
-    st = time_frame_sum(gen, ps, f_hat)
-    assert st == pytest.approx(sf, rel=1e-9)
-    # a finer time step keeps the quadrature exact
-    assert time_frame_sum(gen, ps, f_hat, dt=1e-3) == pytest.approx(sf, rel=1e-9)
+    # on a band translated by s the two sides keep agreeing: the time kernel
+    # is the exponential system's own builder, so no phase carries s * x
+    for s in (0.0, 1e6, 1e9):
+        g = make_grid(Domain([(s - 0.5, s + 0.5)]), 64)
+        w = g.nodes - s
+        hat = 2.0 + np.sin(2 * np.pi * w) + 0.5j * np.cos(2 * np.pi * w)
+        gen = Generator(SampledFunction(g, hat))
+        ps = PointSet.from_1d([-3.7, -1.2, 0.0, 2.4, 7.9])
+        rng = np.random.default_rng(11)
+        f_hat = SampledFunction(g, rng.normal(size=64) + 1j * rng.normal(size=64))
+        sf = frequency_frame_sum(gen, ps, f_hat)
+        st = time_frame_sum(gen, ps, f_hat)
+        assert st == pytest.approx(sf, rel=1e-12), s
+        # a finer time step keeps the quadrature exact
+        assert time_frame_sum(gen, ps, f_hat, dt=1e-3) == pytest.approx(sf, rel=1e-12), s
 
 
 def test_time_sum_needs_uniform_grid_or_window():
