@@ -37,6 +37,7 @@ from .framecore import (
     gram,
     measure_bounds,
     reconstruct,
+    reconstruct_all,
     synthesize,
     write_spectrum_csv,
 )

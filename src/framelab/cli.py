@@ -52,6 +52,7 @@ from .translates import (
     union_check,
     union_sweep,
 )
+from .translates import _check_target
 
 __all__ = ["RunConfig", "parse_config", "parse_multiplier", "run", "main"]
 
@@ -602,6 +603,9 @@ def _cmd_build_generator(cfg: RunConfig):
 
 
 def _cmd_reconstruct(cfg: RunConfig):
+    if "target_csv" in cfg.inputs and "n_targets" in cfg.inputs:
+        raise ConfigError("inputs/target_csv: a target file is one target, so it cannot "
+                          "be combined with inputs/n_targets")
     band = load_domain(cfg.inputs["band"])
     ps = _load_frequencies(cfg.inputs["pointset"])
     if "densify" in cfg.inputs:
@@ -616,7 +620,13 @@ def _cmd_reconstruct(cfg: RunConfig):
 
     targets = []
     if "target_csv" in cfg.inputs:
-        targets.append(load_generator_csv(cfg.inputs["target_csv"], grid, label="f").hat)
+        path = cfg.inputs["target_csv"]
+        f_hat = load_generator_csv(path, grid, label="f").hat
+        try:
+            _check_target(f_hat, grid, inside)
+        except FrameLabError as exc:
+            raise ConfigError(f"{path}: bad target ({exc})") from exc
+        targets.append(f_hat)
     else:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.inputs.get("n_targets", 1)):

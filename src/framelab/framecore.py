@@ -44,11 +44,21 @@ as exp(400 t) on [0, 1]) is formed with numpy's overflow warnings silenced
 and then rejected as a ``FrameLabError`` that names the overflow, on every
 route alike.
 
-``reconstruct`` applies the same operator in each conjugate-gradient step
+``reconstruct_all`` solves every target of a job in one conjugate-gradient
+loop over the (m, n) block of targets, and ``reconstruct`` is its batch of
+one.  Each step applies the same operator to every live row
 (``_apply_frame_operator``): T embeds in a 2n circulant with first column
 [c, 0, conj(c[:0:-1])], so T p costs two length-2n FFTs, O(n log n) instead
-of the O(nK) product U (U^H p), applied as phi * T(conj(phi) p).  Every
-other system stays dense.
+of the O(nK) product U (U^H p), applied as phi * T(conj(phi) p), one
+batched FFT pair for the whole block.  Every other system stays dense, one
+U (U^H p) per row.  Each row keeps its own step sizes, best iterate and
+iteration count, and leaves the block when it converges or trips the
+null-space guard.  A row's result does not depend on the batch width, bit
+for bit: every reduction is ``_rowdot``, a sum along the contiguous last
+axis, and every U product (span pre-check, coefficients, an expansion's
+synthesis) stays one matrix-vector product per target, because the columns
+of a matrix-matrix product can differ from matrix-vector products in the
+last bits.
 
 The member matrix U of an exponential system, and of a product with a
 multiplier, is deferred: it is formed on first access to ``matrix`` and
@@ -97,6 +107,7 @@ __all__ = [
     "frame_operator_apply",
     "measure_bounds",
     "reconstruct",
+    "reconstruct_all",
     "write_spectrum_csv",
     "RANK_TOL",
     "TIGHT_SPREAD",
@@ -382,14 +393,18 @@ def _adjoint(U: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _apply_frame_operator(sys: SynthesisSystem, p: np.ndarray) -> np.ndarray:
-    """S p for S = U U^H, by the route ``_frame_operator`` takes: a 2n
-    circulant FFT of the Toeplitz column or U (U^H p) (see the module notes)."""
+    """S p for S = U U^H, of a vector p or of each row of a block p, by the
+    route ``_frame_operator`` takes: a 2n circulant FFT of the Toeplitz
+    column, one pair for the whole block, or U (U^H p), one matrix-vector
+    pair per row (see the module notes)."""
     if sys._column is None:
         U = sys.weighted
+        if p.ndim == 2:
+            return np.array([U @ _adjoint(U, row) for row in p])
         return U @ _adjoint(U, p)
-    n = p.size
+    n = p.shape[-1]
     phi = sys._multiplier
-    q = np.fft.ifft(sys._circulant * np.fft.fft(phi.conj() * p, 2 * n))[:n]
+    q = np.fft.ifft(sys._circulant * np.fft.fft(phi.conj() * p, 2 * n))[..., :n]
     return phi * q
 
 
@@ -548,10 +563,18 @@ class ReconstructionResult:
     iterations: int
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a, b> of each row: a sum of the real views' products along the
+    contiguous last axis, so that a row's value does not depend on the rows
+    beside it, which the BLAS paths of ``np.vdot`` and ``np.linalg.norm``
+    do not promise."""
+    return np.sum(a.view(float) * b.view(float), axis=-1)
+
+
 def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = RECON_TOL,
                 max_iter: int = MAX_ITER) -> ReconstructionResult:
     """Expansion coefficients c with sum_k c_k psi_k = f, via conjugate
-    gradients on the frame operator.
+    gradients on the frame operator: ``reconstruct_all`` of one target.
 
     Solves S g = f from a zero start (iterates stay inside the span), then
     returns the analysis coefficients of g.  The error decreases monotonically
@@ -560,72 +583,111 @@ def reconstruct(sys: SynthesisSystem, f: SampledFunction, tol: float = RECON_TOL
     span exceeds ``tol`` is reported as "not in span" with that share as its
     residual; any other failure is a convergence failure.
     """
-    if not f.grid.matches(sys.grid):
-        raise GridMismatchError("function and system live on different grids")
+    return reconstruct_all(sys, [f], tol, max_iter)[0]
+
+
+def reconstruct_all(sys: SynthesisSystem, fs, tol: float = RECON_TOL,
+                    max_iter: int = MAX_ITER) -> list:
+    """``reconstruct`` of every target in ``fs``, in order, by one
+    conjugate-gradient loop over the block of targets, one row each.
+
+    Each step applies S to every live row at once (``_apply_frame_operator``)
+    and keeps each row's own step sizes, best iterate and iteration count; a
+    row leaves the block when it converges or trips the null-space guard.
+    Every reduction is ``_rowdot``, and every U product (the span pre-check
+    and the coefficients) is one matrix-vector product per target, so each
+    result equals the single call bit for bit, whatever the batch.  When
+    targets fail, the first failing one's error is raised, as its single
+    call raises it.
+    """
+    fs = list(fs)
+    for f in fs:
+        if not f.grid.matches(sys.grid):
+            raise GridMismatchError("function and system live on different grids")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     # the weights go on vectors, so a structured system never forms ``weighted``
     U = sys.matrix
     sw = np.sqrt(sys.grid.weights)
-    b = sw * f.values
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return ReconstructionResult(np.zeros(sys.size, dtype=complex), 0.0, 0)
+    b = sw * np.array([f.values for f in fs], dtype=complex).reshape(-1, sw.size)
+    b_norm = np.sqrt(_rowdot(b, b))
 
+    # the span pre-check, one product per target: a target the members cannot
+    # see at all fails before the loop
     u_scale = sys._scale
-    if u_scale == 0.0 or float(np.linalg.norm(_adjoint(U, sw * b))) <= 1e-12 * u_scale * b_norm:
-        raise NotInSpanError(
-            "target is not in span: residual 1.000e+00 is invisible to the system",
-            residual=1.0,
-            iterations=0,
-        )
+    invisible = b_norm > 0.0
+    if u_scale != 0.0:
+        for i in np.flatnonzero(invisible):
+            a = _adjoint(U, sw * b[i])
+            invisible[i] = math.sqrt(_rowdot(a, a)) <= 1e-12 * u_scale * b_norm[i]
 
-    x = np.zeros_like(b)
-    r = b.copy()
+    solved = np.flatnonzero((b_norm > 0.0) & ~invisible)
+    best_x = np.zeros_like(b)
+    best_rel = np.full(b_norm.size, math.inf)
+    iterations = np.zeros(b_norm.size, dtype=int)
+    live = solved
+    r = b[live]
+    x = np.zeros_like(r)
     p = r.copy()
-    rs = float(np.vdot(r, r).real)
-    best_rel = math.inf
-    best_x = x
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        q = _apply_frame_operator(sys, p)
-        den = float(np.vdot(p, q).real)
-        pp = float(np.vdot(p, p).real)
-        # relative guard: a step with Rayleigh quotient this far below the
-        # operator scale is numerically in the null space; stepping along it
-        # would only amplify roundoff
-        if den <= 1e-28 * u_scale**2 * pp:
+    rs = _rowdot(r, r)
+    # relative guard: a step with Rayleigh quotient this far below the
+    # operator scale is numerically in the null space; stepping along it
+    # would only amplify roundoff
+    null_scale = 1e-28 * u_scale**2
+    for it in range(1, max_iter + 1):
+        if not live.size:
             break
-        alpha = rs / den
+        q = _apply_frame_operator(sys, p)
+        den = _rowdot(p, q)
+        stop = den <= null_scale * _rowdot(p, p)
+        if stop.any():
+            iterations[live[stop]] = it
+            live, x, r, p, q, rs, den = (v[~stop] for v in (live, x, r, p, q, rs, den))
+        alpha = (rs / den)[:, None]
         x = x + alpha * p
         r = r - alpha * q
-        rel = float(np.linalg.norm(r)) / b_norm
-        if rel < best_rel:
-            best_rel = rel
-            best_x = x
-        if rel <= tol:
-            break
-        rs_new = float(np.vdot(r, r).real)
-        p = r + (rs_new / rs) * p
+        rs_new = _rowdot(r, r)
+        rel = np.sqrt(rs_new) / b_norm[live]
+        better = rel < best_rel[live]
+        best_rel[live[better]] = rel[better]
+        best_x[live[better]] = x[better]
+        p = r + (rs_new / rs)[:, None] * p
         rs = rs_new
+        done = rel <= tol
+        if done.any():
+            iterations[live[done]] = it
+            live, x, r, p, rs = (v[~done] for v in (live, x, r, p, rs))
+    iterations[live] = max_iter
 
-    residual_vec = b - _apply_frame_operator(sys, best_x)
-    residual = float(np.linalg.norm(residual_vec)) / b_norm
-    coeffs = _adjoint(U, sw * best_x)
-    if residual > tol:
+    residual = np.zeros(b_norm.size)
+    if solved.size:
+        residual_vec = b[solved] - _apply_frame_operator(sys, best_x[solved])
+        residual[solved] = np.sqrt(_rowdot(residual_vec, residual_vec)) / b_norm[solved]
+    for i in np.flatnonzero(invisible | (residual > tol)):
+        if invisible[i]:
+            raise NotInSpanError(
+                "target is not in span: residual 1.000e+00 is invisible to the system",
+                residual=1.0,
+                iterations=0,
+            )
         # CG on a target with a part off the span can stall anywhere, so the
         # off-span share is measured directly: the least-squares residual of b
-        fit = np.linalg.lstsq(sys.weighted, b, rcond=None)[0]
-        off_span = float(np.linalg.norm(b - sys.weighted @ fit)) / b_norm
+        fit = np.linalg.lstsq(sys.weighted, b[i], rcond=None)[0]
+        off = b[i] - sys.weighted @ fit
+        off_span = math.sqrt(_rowdot(off, off)) / b_norm[i]
         if off_span > tol:
             raise NotInSpanError(
                 f"target is not in span: residual {off_span:.3e} is invisible to the system",
                 residual=off_span,
-                iterations=iterations,
+                iterations=int(iterations[i]),
             )
         raise ReconstructionError(
-            f"no convergence within {max_iter} iterations (best residual {residual:.3e})",
-            residual=residual,
-            iterations=iterations,
+            f"no convergence within {max_iter} iterations (best residual {residual[i]:.3e})",
+            residual=float(residual[i]),
+            iterations=int(iterations[i]),
         )
-    return ReconstructionResult(coeffs, residual, iterations)
+    results = []
+    for i in range(b_norm.size):
+        coeffs = _adjoint(U, sw * best_x[i]) if b_norm[i] else np.zeros(sys.size, dtype=complex)
+        results.append(ReconstructionResult(coeffs, float(residual[i]), int(iterations[i])))
+    return results

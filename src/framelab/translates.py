@@ -30,7 +30,7 @@ from .framecore import (
     analyze,
     exponential_system,
     measure_bounds,
-    reconstruct,
+    reconstruct_all,
 )
 from .multiplication import (
     DEFAULT_LEVELS,
@@ -358,19 +358,26 @@ def oversampled_expansions(f_hats, gen: Generator, ps: PointSet, band: Domain,
     return _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol)
 
 
+def _check_target(f_hat: SampledFunction, grid: Grid, inside: np.ndarray) -> None:
+    """A ``FrameLabError`` unless ``f_hat`` lives on ``grid``, is not
+    identically zero and vanishes off the nodes marked ``inside``, to 1e-12
+    of its largest value."""
+    if not f_hat.grid.matches(grid):
+        raise FrameLabError("generator and target live on different grids")
+    f_scale = float(np.abs(f_hat.values).max())
+    if f_scale == 0.0:
+        raise FrameLabError("target spectrum is identically zero")
+    if np.abs(f_hat.values[~inside]).max(initial=0.0) > 1e-12 * f_scale:
+        raise FrameLabError("target spectrum leaks outside the inner band")
+
+
 def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
     """The one body of both expansion entry points, which call it directly so
     that the budget warning's ``stacklevel=3`` names their caller."""
     grid = gen.grid
     inside = band.contains(grid.nodes)
     for f_hat in f_hats:
-        if not f_hat.grid.matches(grid):
-            raise FrameLabError("generator and target live on different grids")
-        f_scale = float(np.abs(f_hat.values).max())
-        if f_scale == 0.0:
-            raise FrameLabError("target spectrum is identically zero")
-        if np.abs(f_hat.values[~inside]).max(initial=0.0) > 1e-12 * f_scale:
-            raise FrameLabError("target spectrum leaks outside the inner band")
+        _check_target(f_hat, grid, inside)
 
     exp = exponential_system(grid, ps)
     violation = "the oversampled exponential system is not a frame"
@@ -379,8 +386,7 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
     if not exp_report.flags.frame_for_whole_space:
         raise HypothesisError(f"hypothesis violated: {violation} ({_measured(exp_report)})")
     results = []
-    for f_hat in f_hats:
-        rec = reconstruct(exp, f_hat, tol=tol, max_iter=max_iter)
+    for f_hat, rec in zip(f_hats, reconstruct_all(exp, f_hats, tol, max_iter)):
         alphas = rec.coeffs
 
         f_norm = f_hat.norm()

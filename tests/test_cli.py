@@ -631,6 +631,48 @@ def test_reconstruct_with_target_csv_and_densify(workdir):
     assert rep["results"]["n_points"] > 288
 
 
+def _target_csv(workdir, values):
+    """A target spectrum file on the dilated-band grid of ``_reconstruct``;
+    ``values(nodes, inside)`` gives its values."""
+    from framelab.domain import Domain, SampledFunction, make_grid
+    from framelab.translates import BumpSpec, Generator, save_generator_csv
+
+    spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
+    grid = make_grid(spec.dilated, 320)
+    inside = spec.base_domain.contains(grid.nodes)
+    target = SampledFunction(grid, values(grid.nodes, inside))
+    save_generator_csv(Generator(target, label="f"), workdir / "target.csv")
+    return str(workdir / "target.csv")
+
+
+@pytest.mark.parametrize("values, message", [
+    (lambda w, inside: np.cos(2 * np.pi * w), "leaks outside the inner band"),
+    (lambda w, inside: np.zeros(w.size), "is identically zero"),
+], ids=["leaking", "zero"])
+def test_reconstruct_with_a_bad_target_csv_is_exit_2(workdir, capsys, values, message):
+    cfg = _reconstruct(workdir)
+    del cfg["inputs"]["n_targets"]
+    cfg["inputs"]["target_csv"] = _target_csv(workdir, values)
+    cfg_path = write_json(workdir / "cfg.json", cfg)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert cfg["inputs"]["target_csv"] in err and message in err
+    assert not (workdir / "report.json").exists()
+
+
+def test_reconstruct_with_target_csv_and_n_targets_is_exit_2(workdir, capsys):
+    cfg = _reconstruct(workdir)
+    cfg["inputs"]["n_targets"] = 5
+    cfg["inputs"]["target_csv"] = _target_csv(workdir, lambda w, inside: np.cos(w) * inside)
+    cfg_path = write_json(workdir / "cfg.json", cfg)
+    assert main(["--config", cfg_path, "--out", str(workdir / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "inputs/target_csv" in err and "inputs/n_targets" in err
+    assert not (workdir / "report.json").exists()
+
+
 def test_reconstruct_with_sep_min_above_target_gap_is_exit_2(workdir, capsys):
     cfg = _reconstruct(workdir)
     cfg["inputs"]["densify"] = {"target_gap": 0.3, "sep_min": 0.6}

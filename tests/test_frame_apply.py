@@ -3,7 +3,8 @@ uniform one-interval grid, and their products with multipliers, apply the
 frame operator by a 2n circulant FFT of their Toeplitz column; every other
 system applies U (U^H p) densely.  The FFT route is checked against the dense
 product U @ U^H @ p, and ``reconstruct`` is checked to take it in every CG
-step and to agree with the dense route."""
+step and to agree with the dense route.  Each row of ``reconstruct_all``
+equals the single call on its target, bit for bit, on both routes."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from framelab.framecore import (
     frame_operator_apply,
     measure_bounds,
     reconstruct,
+    reconstruct_all,
 )
 from framelab.multiplication import multiply_system
 from framelab.pointset import PointSet
@@ -190,3 +192,65 @@ def test_mixed_target_is_not_in_span_on_both_routes(eps):
         with pytest.raises(NotInSpanError, match="not in span") as err:
             reconstruct(s, f, tol=1e-10, max_iter=200)
         assert err.value.residual == pytest.approx(share, rel=1e-9)
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.permutations(["one eigenvector", "three eigenvectors", "member sum", "member sum",
+                     "zero"]),
+    st.integers(min_value=0, max_value=5),
+    st.booleans(),
+)
+def test_batched_rows_equal_single_calls(seed, structured, kinds, off_at, visible):
+    """Each row of ``reconstruct_all`` equals ``reconstruct`` of that target
+    alone bit for bit, on both routes, in a batch whose rows stop at different
+    iterations; an off-span row, one the span pre-check stops or one that
+    stalls in the loop, raises its single call's error."""
+    grid = make_grid(Domain([(0.0, 1.0)]), 48)
+    rng = np.random.default_rng(seed)
+    sys = exponential_system(grid, jittered(24, 1.0, rng))
+    if not structured:
+        sys = SynthesisSystem(grid, sys.matrix)
+    W, sw = sys.weighted, np.sqrt(grid.weights)
+    # eigenvectors of S = W W^H in its range: CG stops after one step per
+    # distinct eigenvalue, while a random member sum takes many steps
+    eigs, vecs = np.linalg.eigh(W @ W.conj().T)
+    in_range = vecs[:, eigs > 1e-8 * eigs[-1]]
+    picks = {"one eigenvector": 1, "three eigenvectors": 3}
+    rows = []
+    for kind in kinds:
+        if kind == "zero":
+            b = np.zeros(grid.size)
+        elif kind == "member sum":
+            b = W @ random_vector(rng, sys.size)
+        else:
+            cols = rng.choice(in_range.shape[1], picks[kind], replace=False)
+            b = in_range[:, cols] @ random_vector(rng, picks[kind])
+        rows.append(SampledFunction(grid, b / sw))
+
+    batch = reconstruct_all(sys, rows, tol=1e-10, max_iter=200)
+    assert len({res.iterations for res in batch}) >= 3
+    for f, res in zip(rows, batch):
+        single = reconstruct(sys, f, tol=1e-10, max_iter=200)
+        assert np.array_equal(res.coeffs, single.coeffs)
+        assert (res.residual, res.iterations) == (single.residual, single.iterations)
+        if not f.values.any():
+            assert not res.coeffs.any() and (res.residual, res.iterations) == (0.0, 0)
+
+    off = random_vector(rng, grid.size)
+    off -= in_range @ (in_range.conj().T @ off)
+    if visible:
+        off += W @ random_vector(rng, sys.size)
+    off_span = SampledFunction(grid, off / sw)
+    with pytest.raises(NotInSpanError) as alone:
+        reconstruct(sys, off_span, tol=1e-10, max_iter=200)
+    with pytest.raises(NotInSpanError) as mixed:
+        reconstruct_all(sys, rows[:off_at] + [off_span] + rows[off_at:],
+                                  tol=1e-10, max_iter=200)
+    assert (alone.value.iterations > 0) == visible
+    assert type(mixed.value) is type(alone.value)
+    assert str(mixed.value) == str(alone.value)
+    assert (mixed.value.residual, mixed.value.iterations) == (
+        alone.value.residual, alone.value.iterations)

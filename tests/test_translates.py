@@ -306,22 +306,30 @@ def random_band_targets(grid, band, n, seed=3):
 
 
 def test_oversampled_expansions_match_single_calls():
+    # the one-interval band takes the structured route; the two-interval band
+    # takes the dense one, on a jittered lattice that CG needs a dozen steps for
     spec, grid, gen = plateau_setup()
-    ps = half_integer_lattice(grid)
-    targets = random_band_targets(grid, spec.base_domain, 3)
-    batch = oversampled_expansions(targets, gen, ps, spec.base_domain)
-    assert len(batch) == 3
-    for f_hat, res in zip(targets, batch):
-        single = oversampled_expansion(f_hat, gen, ps, spec.base_domain)
-        assert np.array_equal(res.alphas, single.alphas)
-        assert np.array_equal(res.reconstruction, single.reconstruction)
-        for name in ("cg_residual", "product_residual", "vanish_outside", "coeff_norm_sq",
-                     "coeff_bound", "coeff_bound_ok"):
-            assert getattr(res, name) == getattr(single, name), name
-        assert res.exp_report.lower == single.exp_report.lower
-        assert res.exp_report.upper == single.exp_report.upper
-    # one measurement of the shared system serves every target
-    assert batch[0].exp_report is batch[2].exp_report
+    two = BumpSpec(Domain([(-0.4, -0.1), (0.1, 0.4)]), 0.05)
+    two_grid = make_grid(two.dilated, 320)
+    n = 2 * two_grid.size
+    jitter = np.random.default_rng(3).uniform(-0.25, 0.25, n)
+    two_ps = PointSet.from_1d((np.arange(n) - n // 2 + jitter) / (2.0 * two_grid.domain.measure))
+    for spec, grid, gen, ps in [(spec, grid, gen, half_integer_lattice(grid)),
+                                (two, two_grid, build_bump_generator(two, two_grid), two_ps)]:
+        targets = random_band_targets(grid, spec.base_domain, 3)
+        batch = oversampled_expansions(targets, gen, ps, spec.base_domain)
+        assert len(batch) == 3
+        for f_hat, res in zip(targets, batch):
+            single = oversampled_expansion(f_hat, gen, ps, spec.base_domain)
+            assert np.array_equal(res.alphas, single.alphas)
+            assert np.array_equal(res.reconstruction, single.reconstruction)
+            for name in ("cg_residual", "product_residual", "vanish_outside", "coeff_norm_sq",
+                         "coeff_bound", "coeff_bound_ok"):
+                assert getattr(res, name) == getattr(single, name), name
+            assert res.exp_report.lower == single.exp_report.lower
+            assert res.exp_report.upper == single.exp_report.upper
+        # one measurement of the shared system serves every target
+        assert batch[0].exp_report is batch[2].exp_report
 
 
 @pytest.mark.parametrize(
