@@ -10,7 +10,11 @@ sinking means the infimum is heading to zero.
 Every check follows one pattern: multiply a system with bounds A, B by phi,
 and the product's bounds land in [A ess inf |phi|^2, B ess sup |phi|^2].
 Translate systems are the same pattern with phi = hhat acting on the
-exponential system, so their classification lives here too.
+exponential system, so their classification lives here too; the converse
+divides phi back out of a product.  Every check runs in one order: profile
+the multiplier, measure the given system, judge its hypothesis on that one
+report, and only then form and measure the other system, so a failed
+hypothesis never builds or diagonalizes the product.
 """
 
 from __future__ import annotations
@@ -111,8 +115,14 @@ def profile_multiplier(g: Grid, phi: SampledFunction) -> MultiplierProfile:
 def _cells_to_domain(g: Grid, mask: np.ndarray) -> Domain | None:
     if not mask.any():
         return None
+    # one interval per run of kept cells within one grid interval, found by
+    # index: neighbouring cell edges may round an ulp apart, so merging the
+    # edges by value would split the run
+    kept = np.flatnonzero(mask)
+    cut = np.flatnonzero((np.diff(kept) > 1) | (np.diff(g.interval_index[kept]) != 0)) + 1
+    first, last = kept[np.r_[0, cut]], kept[np.r_[cut - 1, kept.size - 1]]
     left, right = g.cell_bounds()
-    return Domain.merged(zip(left[mask], right[mask]))
+    return Domain.merged(zip(left[first], right[last]))
 
 
 def multiply_system(sys: SynthesisSystem, phi: SampledFunction) -> SynthesisSystem:
@@ -225,31 +235,15 @@ class MultCheckReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# the check skeleton: prepare -> hypothesis -> predict/measure -> envelope ->
-# report.  Each kind supplies the parts that differ.
+# the check skeleton: profile -> measure the given system -> hypothesis ->
+# form and measure the other -> judge -> envelope -> report.  Each kind
+# supplies the parts that differ.
 
 
 class _Prepared(NamedTuple):
     base_report: FrameReport
     profile: MultiplierProfile
     mult_report: FrameReport
-
-
-def _prepare(sys: SynthesisSystem, phi: SampledFunction, rank_tol: float) -> _Prepared:
-    base_report = measure_bounds(sys, rank_tol)
-    profile = profile_multiplier(sys.grid, phi)
-    return _Prepared(base_report, profile, measure_bounds(multiply_system(sys, phi), rank_tol))
-
-
-def _prepare_converse(sys_mult: SynthesisSystem, phi: SampledFunction,
-                      rank_tol: float) -> _Prepared:
-    """Divide the multiplier back out: the recovered system plays the base."""
-    profile = profile_multiplier(sys_mult.grid, phi)
-    if not profile.bounded_below_on_grid:
-        raise FrameLabError("division by near-zero multiplier")
-    mult_report = measure_bounds(sys_mult, rank_tol)
-    recovered = multiply_system(sys_mult, SampledFunction(sys_mult.grid, 1.0 / phi.values))
-    return _Prepared(measure_bounds(recovered, rank_tol), profile, mult_report)
 
 
 def _bounds(report: FrameReport) -> tuple:
@@ -381,20 +375,24 @@ def _judge_translates(p, trace, label):
 class _Kind:
     """One check kind, as the skeleton and refinement sweeps read it.
 
-    The skeleton runs ``prepare``, demands ``hypothesis`` (None: no
-    hypothesis; ``violation`` says what failed), lets ``judge`` predict,
-    measure and name the bracket, and tests it.  A sweep traces ``metric`` per
-    level and takes its prediction from the ``RefinementTrace`` verdict named
-    by ``predicted_by`` (None: the tight rule of ``refine_check``).
-    ``spans``: the hypothesis demands a frame of the whole space, checked
-    against the member count before anything is measured.
+    The skeleton runs one order for every kind: profile the multiplier,
+    measure the given system, judge the hypothesis on that one report, and
+    only then form and measure the other system.  ``spans``: the hypothesis
+    demands a frame of the whole space, checked against the member count
+    before anything is measured and then on the given report, beside the
+    kind's own ``hypothesis`` (None: nothing more); ``violation`` says what
+    failed.  ``converse``: the given system is the product, and the other is
+    formed by dividing the multiplier back out, so it plays the base.
+    ``judge`` predicts, measures and names the bracket, which the skeleton
+    tests.  A sweep traces ``metric`` per level and takes its prediction from
+    the ``RefinementTrace`` verdict named by ``predicted_by`` (None: the tight
+    rule of ``refine_check``); a converse check has no trace.
     """
 
-    prepare: Callable
-    hypothesis: Callable | None
-    violation: str
     judge: Callable
-    traced: bool = True
+    violation: str = ""
+    hypothesis: Callable | None = None
+    converse: bool = False
     metric: Callable | None = None
     predicted_by: str | None = None
     spans: bool = False
@@ -410,43 +408,33 @@ def require_members(sys: SynthesisSystem, violation: str) -> None:
 
 _NOT_A_FRAME = "base system is not a frame of the whole space"
 
-
-def _is_frame(p: _Prepared) -> bool:
-    return p.base_report.flags.frame_for_whole_space
-
-
 _KINDS = {
     "frame": _Kind(
-        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame, spans=True,
+        _judge_frame, _NOT_A_FRAME, spans=True,
         metric=lambda r: r.mult_report.lower, predicted_by="bounded_below",
     ),
     "tight": _Kind(
-        _prepare, lambda p: p.base_report.flags.tight and _is_frame(p),
-        "base system is not a tight frame", _judge_tight, spans=True,
+        _judge_tight, "base system is not a tight frame", lambda r: r.flags.tight, spans=True,
         metric=lambda r: r.mult_report.upper - r.mult_report.lower,
     ),
     "riesz": _Kind(
-        _prepare,
-        lambda p: p.base_report.flags.riesz_sequence
-        and p.base_report.rank == p.base_report.dim_space,
-        "base system is not a Riesz basis", _judge_riesz,
+        _judge_riesz, "base system is not a Riesz basis",
+        lambda r: r.flags.riesz_sequence and r.rank == r.dim_space,
         metric=lambda r: r.details["gram_extremes"][0], predicted_by="bounded_below",
     ),
     "bessel": _Kind(
-        _prepare, None, "", _judge_bessel,
-        metric=lambda r: r.mult_report.upper, predicted_by="sup_stable",
+        _judge_bessel, metric=lambda r: r.mult_report.upper, predicted_by="sup_stable",
     ),
     "frame_sequence": _Kind(
-        _prepare, _is_frame, _NOT_A_FRAME, _judge_frame_sequence, spans=True,
+        _judge_frame_sequence, _NOT_A_FRAME, spans=True,
         metric=lambda r: r.mult_report.lower, predicted_by="bounded_below_on_support",
     ),
     "converse": _Kind(
-        _prepare_converse, lambda p: p.mult_report.flags.frame_for_whole_space,
-        "multiplied system is not a frame", _judge_converse, traced=False, spans=True,
+        _judge_converse, "multiplied system is not a frame", converse=True, spans=True,
     ),
     "translates": _Kind(
-        _prepare, _is_frame, "the exponential system is not a frame of the sampled band",
-        _judge_translates, spans=True,
+        _judge_translates, "the exponential system is not a frame of the sampled band",
+        spans=True,
     ),
 }
 
@@ -470,11 +458,18 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
     kind = _KINDS[check]
     if kind.spans:
         require_members(sys, kind.violation)
-    prepared = kind.prepare(sys, phi, rank_tol)
-    if kind.hypothesis is not None and not kind.hypothesis(prepared):
-        judged = prepared.mult_report if check == "converse" else prepared.base_report
+    profile = profile_multiplier(sys.grid, phi)
+    if kind.converse and not profile.bounded_below_on_grid:
+        raise FrameLabError("division by near-zero multiplier")
+    given = measure_bounds(sys, rank_tol)
+    if (kind.spans and not given.flags.frame_for_whole_space
+            or kind.hypothesis is not None and not kind.hypothesis(given)):
         raise HypothesisError(f"hypothesis violated: {kind.violation} "
-                              f"({_measured(judged, check)})")
+                              f"({_measured(given, check)})")
+    other = measure_bounds(sys.multiplied(1 / phi.values if kind.converse else phi.values),
+                           rank_tol)
+    prepared = (_Prepared(other, profile, given) if kind.converse
+                else _Prepared(given, profile, other))
     try:
         predicted, measured, envelope, bounds, gate, others_hold, details = kind.judge(
             prepared, trace, **options
@@ -485,7 +480,7 @@ def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol:
     # the one bracket test of every kind; a prediction that promises no
     # frame-type property turns it off
     holds = within_envelope(envelope, bounds) or (gate is not None and not predicted[gate])
-    if kind.traced:
+    if not kind.converse:
         details["trace"] = None if trace is None else trace.to_dict()
     return MultCheckReport(
         check=check,

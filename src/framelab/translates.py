@@ -125,7 +125,7 @@ def load_generator_csv(path, grid: Grid, label: str = "h") -> Generator:
     """Read (omega, re, im) rows; the omegas must match the grid nodes.
 
     A row that is short, non-numeric or non-finite is a ConfigError naming the
-    file and the row.
+    file and the row; omegas that do not match the grid, one naming the file.
     """
     with input_file(path, "spectrum"), open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -140,8 +140,9 @@ def load_generator_csv(path, grid: Grid, label: str = "h") -> Generator:
         omegas.append(omega)
         vals.append(complex(real, imag))
     omegas = np.asarray(omegas)
-    if omegas.size != grid.size or not np.allclose(omegas, grid.nodes, rtol=0, atol=1e-9):
-        raise FrameLabError("generator nodes do not match the analysis grid")
+    with input_file(path, "spectrum"):
+        if omegas.size != grid.size or not np.allclose(omegas, grid.nodes, rtol=0, atol=1e-9):
+            raise ValueError(f"{omegas.size} omegas do not match the {grid.size} grid nodes")
     return Generator(SampledFunction(grid, np.asarray(vals)), label=label)
 
 

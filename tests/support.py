@@ -64,6 +64,27 @@ def oracle_stays_flat(values) -> bool:
     return max(values) <= (1.0 + STABILITY) * min(values) if min(values) > 0 else False
 
 
+def oracle_gram_exact(lam, intervals, modulus=((1.0, 0.0),)) -> np.ndarray:
+    """Grid-free Gram of the exponentials e^{-2 pi i lam_k t} on a union of
+    intervals, weighted by |phi|^2 = sum_m c_m e^{2 pi i mu_m t}, given as
+    ``modulus`` pairs (c_m, mu_m) (default |phi| = 1):
+
+        G[k, l] = sum_m c_m sum over [a, b] of the integral over [a, b] of
+                  e^{2 pi i (lam_k - lam_l + mu_m) t} dt,
+
+    each integral in closed form, e^{pi i d (a + b)} (b - a) sinc(d (b - a)),
+    whose d = 0 limit is the interval length.  The library's Gram is its
+    midpoint-rule quadrature.
+    """
+    lam = np.asarray(lam, dtype=float)
+    gram = np.zeros((lam.size, lam.size), dtype=complex)
+    for c, mu in modulus:
+        d = lam[:, None] - lam[None, :] + mu
+        for a, b in intervals:
+            gram += c * np.exp(1j * np.pi * d * (a + b)) * (b - a) * np.sinc(d * (b - a))
+    return gram
+
+
 def oracle_bounds_svd(sys: SynthesisSystem, rank_tol: float = 1e-8):
     """Retained frame bounds from singular values of the weighted matrix."""
     s = np.linalg.svd(sys.weighted, compute_uv=False)

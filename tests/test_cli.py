@@ -482,7 +482,7 @@ def test_translate_check_generator_grid_mismatch(workdir, capsys):
             "grid": {"n_per_unit": 64},
         },
     )
-    assert main(["--config", cfg_path]) == 3
+    assert main(["--config", cfg_path]) == 2
     assert "do not match" in capsys.readouterr().err
 
 
@@ -671,6 +671,41 @@ def test_reconstruct_with_target_csv_and_n_targets_is_exit_2(workdir, capsys):
     assert "Traceback" not in err
     assert "inputs/target_csv" in err and "inputs/n_targets" in err
     assert not (workdir / "report.json").exists()
+
+
+def _multiplier_off_grid(workdir):
+    cfg = _spectrum_file(workdir, "mult-check", "0.625,2.0,0.0")
+    cfg["grid"]["n_per_unit"] = 8
+    return cfg, cfg["inputs"]["multiplier"]["csv"]
+
+
+def _generator_off_grid(workdir):
+    cfg = _spectrum_file(workdir, "translate-check", "0.625,2.0,0.0")
+    cfg["grid"]["n_per_unit"] = 8
+    return cfg, cfg["inputs"]["generator"]["csv"]
+
+
+def _target_off_grid(workdir):
+    cfg = _reconstruct(workdir)
+    del cfg["inputs"]["n_targets"]
+    path = _target_csv(workdir, lambda w, inside: np.cos(w) * inside)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    (workdir / "target.csv").write_text("\n".join(lines[:-1]) + "\n")  # 287 of 288 nodes
+    cfg["inputs"]["target_csv"] = path
+    return cfg, path
+
+
+@pytest.mark.parametrize("make", [_multiplier_off_grid, _generator_off_grid, _target_off_grid],
+                         ids=["mult-check-multiplier", "translate-check-generator",
+                              "reconstruct-target"])
+def test_spectrum_on_the_wrong_grid_is_exit_2(workdir, capsys, make):
+    cfg, path = make(workdir)
+    out = workdir / "report.json"
+    assert main(["--config", write_json(workdir / "cfg.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert f"{path}: bad spectrum (" in err and "do not match" in err
+    assert not out.exists()
 
 
 def test_reconstruct_with_sep_min_above_target_gap_is_exit_2(workdir, capsys):

@@ -9,7 +9,7 @@ import framelab.multiplication
 import framelab.translates
 from framelab.domain import Domain, SampledFunction, indicator, make_grid
 from framelab.errors import FrameLabError, HypothesisError
-from framelab.framecore import exponential_system, gram, measure_bounds
+from framelab.framecore import SynthesisSystem, exponential_system, gram, measure_bounds
 from framelab.multiplication import (
     STABILITY,
     check_bessel_multiplication,
@@ -35,7 +35,7 @@ from framelab.translates import (
     oversampled_expansion,
     union_sweep,
 )
-from support import dft_base, oracle_stays_flat, oracle_trend_is_stable
+from support import dft_base, oracle_stays_flat, oracle_trend_is_stable, random_system
 
 E = Domain([(-0.5, 0.5)])
 UNIT = Domain([(0.0, 1.0)])
@@ -65,6 +65,39 @@ def test_profile_of_zero_multiplier():
     assert prof.support_domain is None
     assert prof.zero_measure_fraction == pytest.approx(1.0)
     assert prof.ess_inf_support == np.inf
+
+
+@st.composite
+def domains(draw):
+    """One to three disjoint intervals of random lengths and gaps."""
+    a = draw(st.floats(-3.0, 3.0))
+    intervals = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = a + draw(st.floats(0.05, 2.0))
+        intervals.append((a, b))
+        a = b + draw(st.floats(0.05, 1.0))
+    return Domain(intervals)
+
+
+@given(dom=domains(), n_per_unit=st.integers(8, 1000), data=st.data())
+def test_support_follows_the_cells_not_their_rounded_edges(dom, n_per_unit, data):
+    """A multiplier with no zeros is supported on the whole domain, one
+    interval per domain interval; one zeroed block of cells inside an
+    interval adds exactly one gap."""
+    g = make_grid(dom, n_per_unit)
+    support = profile_multiplier(g, SampledFunction(g, np.ones(g.size))).support_domain
+    assert len(support.intervals) == len(dom.intervals)
+    for got, want in zip(support.intervals, dom.intervals):
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+    cells = np.flatnonzero(g.interval_index == data.draw(st.sampled_from(range(len(dom.intervals)))))
+    if cells.size < 3:
+        return
+    start = data.draw(st.integers(cells[1], cells[-2]))
+    stop = data.draw(st.integers(start + 1, cells[-1]))
+    vals = np.ones(g.size)
+    vals[start:stop] = 0.0
+    gapped = profile_multiplier(g, SampledFunction(g, vals)).support_domain
+    assert len(gapped.intervals) == len(dom.intervals) + 1
 
 
 def test_profile_grid_mismatch():
@@ -306,6 +339,36 @@ def test_converse_requires_frame():
     phi = SampledFunction(g, np.full(g.size, 2.0 + 0j))
     with pytest.raises(HypothesisError):
         check_converse(multiply_system(sys, phi), phi)
+
+
+def _rank_deficient(g, rng, rank=8):
+    """More members than nodes, all inside a rank-``rank`` subspace."""
+    mat = rng.standard_normal((g.size, rank)) @ rng.standard_normal((rank, g.size + 8))
+    return SynthesisSystem(g, mat.astype(complex))
+
+
+@pytest.mark.parametrize("check", ["frame", "riesz", "converse"])
+def test_failed_hypothesis_measures_only_the_given_system(monkeypatch, check):
+    """The hypothesis is judged on the given system alone: the other one is
+    never formed or measured."""
+    rng = np.random.default_rng(23)
+    g = make_grid(UNIT, 16)
+    phi = SampledFunction.from_callable(g, two_plus_sine)
+    run = {
+        "frame": lambda: check_frame_multiplication(_rank_deficient(g, rng), phi),
+        "riesz": lambda: check_riesz_multiplication(random_system(rng, 16, 24), phi),
+        "converse": lambda: check_converse(_rank_deficient(g, rng), phi),
+    }[check]
+    calls = []
+
+    def counted(sys, *args, **kwargs):
+        calls.append(sys)
+        return measure_bounds(sys, *args, **kwargs)
+
+    monkeypatch.setattr(framelab.multiplication, "measure_bounds", counted)
+    with pytest.raises(HypothesisError, match="hypothesis violated"):
+        run()
+    assert len(calls) == 1
 
 
 # --- frame sequence ------------------------------------------------------------------
