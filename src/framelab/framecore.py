@@ -65,20 +65,45 @@ multiplier, is deferred: it is formed on first access to ``matrix`` and
 then cached, so measuring the bounds of a structured system whose S and G
 both take a real form never forms it.  A grid is uniform on each interval,
 and U stacks one block per interval from running powers instead of n K
-exps: for m nodes of step h, with j = q B + r, B = ceil(sqrt(m)) and z_k =
-e^{-2 pi i h lambda_k}, U[j, k] = u_k (z_k^B)^q z_k^r, each factor a row of
-a ceil(m/B) x K or B x K matrix of powers, every phase reduced mod 1 before
-its exp.  The first row u_k = e^{-2 pi i (t_0 + d) lambda_k} takes the
-grid's first node t_0 and the block's offset d from it, found from the
-interval ends and never from the rounded nodes, so translating the band
-moves t_0 alone, a unimodular constant on each column, and no bound.  U is
-as accurate as n K exps (both within a few eps 2 pi |t| |lambda| of the
-exact values); a one-interval grid's column c_j = h sum_k (z_k^B)^q z_k^r
-is one small matrix product of the same powers, 2K exps in O(sqrt(n) K)
-memory.  Reconstruction, analysis, synthesis, the Gram spectrum and the
+exps.  One builder (``_factors``) forms them: for m nodes of step h, with j
+= q B + r, B = 2^floor(bits(m) / 2), a power of two within a factor sqrt(2)
+of sqrt(m), and z_k = e^{-2 pi i h lambda_k}, U[j, k] = u_k (z_k^B)^q
+z_k^r, each factor a row of a ceil(m/B) x K or B x K matrix of powers from
+one running product.  Every phase is
+reduced mod 1 before its exp (``_cis``), and the coarse phase B h lambda_k
+is the rounded step h lambda_k times the power of two B, exactly.  The first
+row u_k = e^{-2 pi i (t_0 + d) lambda_k} takes the grid's first node t_0 and
+the block's offset d from it, found from the interval ends and never from
+the rounded nodes, so translating the band moves t_0 alone, a unimodular
+constant on each column, and no bound.  A one-interval grid's column c_j =
+h sum_k (z_k^B)^q z_k^r is one small matrix product of the same powers, 2K
+exps in O(sqrt(m) K) memory.  V takes u_k = e^{2 pi i (m - 1) x_k}, x_k
+the step h lambda_k halved and reduced mod 1 (``np.fmod``), both exactly, so
+that (m - 1) h lambda_k / 2 is never rounded as a whole: u_k agrees with the
+powers of z_k to (m - 1) eps / 2 cycles, whatever lambda_k, and V^H V stays
+real.  Reconstruction, analysis, synthesis, the Gram spectrum and the
 stacked union system read U, formed once per system; the time kernel of a
 translate system is the conjugate transpose of ``_exponential_matrix``
 along the time points.
+
+The builder then measures the system of the grid's exact nodes a + (j +
+1/2) length / m, up to a few eps per power, unless its phases drift from
+theirs.  Row j of a block carries fl(d lambda_k) + j fl(h lambda_k), where
+the exact nodes carry d* lambda_k + j lambda_k length / m, d the builder's
+offset and d* the exact one; the centring phase adds no product of
+lambda_k, and t_0 lambda_k only moves a column by a constant.
+``exponential_system`` refuses frequencies (a ValueError) whose largest sum
+over the blocks of |fl(d lambda_k) - d* lambda_k| + (m - 1) |fl(h lambda_k)
+- lambda_k length / m|, each term exact by Dekker's error-free product and
+Knuth's two-sum (``_drifts``), passes ``PHASE_TOL`` = 1e-10 cycles.  A
+dyadic step with ends in its multiples drifts by nothing, whatever
+|lambda|: on [0, 1] at 16 nodes per unit, 1e12 and 1e154 alias to 0
+exactly.  Any other step drifts by up to about eps h |lambda| a row, so
+generic frequencies reach 1e-10 cycles over the band from |lambda| |E|
+near 1e6 on; at 10 nodes per unit (h = fl(0.1)) on [0, 1], 1e6 and 1e10
+pass (fl(0.1) times either rounds to a tenth of it exactly), 1e7 + 0.3
+drifts by 6e-10 cycles and is refused, and 2^50, whose product with
+fl(0.1) is exact but not 2^50 / 10, drifts by 0.06.
 """
 
 from __future__ import annotations
@@ -123,6 +148,11 @@ TIGHT_SPREAD = 1e-8
 RECON_TOL = 1e-10
 # the conjugate-gradient iterations a reconstruction may take
 MAX_ITER = 2000
+# the drift, in cycles, an exponential system's phases may carry from those
+# of the grid's exact nodes (see ``check_phases``): each member value is then
+# within 2 pi 1e-10 of its exact value, far inside the S/G cross-check's
+# relative tolerance of 1e-9
+PHASE_TOL = 1e-10
 
 # dense Hermitian eigensolves stay reliable and fast up to this order;
 # beyond it only the smaller of S and G is diagonalized
@@ -237,44 +267,106 @@ class SynthesisSystem:
         return out
 
 
-def _powers(z: np.ndarray, rows: int, start=1.0) -> np.ndarray:
-    """rows x K matrix start * z^m, each row the last times z by a running
-    product."""
-    out = np.empty((rows, z.size), dtype=complex)
-    out[0] = start
-    out[1:] = z
-    return np.cumprod(out, axis=0, out=out)
-
-
-def _toeplitz_column(h: float, lam: np.ndarray, n: int) -> np.ndarray:
-    """c_j = h sum_k z_k^j, z_k = exp(-2 pi i h lambda_k), for j < n, by the
-    factored product of the module notes: 2K exps in O(sqrt(n) K) memory."""
-    b = math.isqrt(n - 1) + 1
-    coarse = _powers(np.exp(-2j * np.pi * (b * h) * lam), -(-n // b))
-    return h * (coarse @ _powers(np.exp(-2j * np.pi * h * lam), b).T).ravel()[:n]
-
-
 def _cis(x: np.ndarray) -> np.ndarray:
     """exp(-2 pi i x), with x reduced mod 1 first so that 2 pi x rounds in [-pi, pi]."""
     return np.exp(-2j * np.pi * (x - np.round(x)))
 
 
+def _factors(start, h: float, lam: np.ndarray, n: int):
+    """(coarse, fine) = (start_k (z_k^B)^q, z_k^r), q < ceil(n/B), r < B, z_k =
+    exp(-2 pi i h lambda_k), B a power of two near sqrt(n): one running
+    product of ``_cis``-reduced phases (see the module notes)."""
+    b = 1 << n.bit_length() // 2
+    rows = -(-n // b)
+    out = np.ones((2, max(b, rows), lam.size), dtype=complex)
+    out[0, 0] = start
+    out[:, 1:] = _cis(np.outer([b, 1], h * lam))[:, None]
+    return np.cumprod(out, axis=1, out=out)[0, :rows], out[1, :b]
+
+
+def _toeplitz_column(h: float, lam: np.ndarray, n: int) -> np.ndarray:
+    """c_j = h sum_k exp(-2 pi i j h lambda_k) for j < n, one small matrix
+    product of the ``_factors`` powers: 2K exps in O(sqrt(n) K) memory."""
+    coarse, fine = _factors(1.0, h, lam, n)
+    return h * (coarse @ fine.T).ravel()[:n]
+
+
 def _uniform_matrix(start: np.ndarray, h: float, lam: np.ndarray, n: int) -> np.ndarray:
-    """U[j, k] = start_k exp(-2 pi i j h lambda_k) for j < n, by the factored
-    product of the module notes: 2K exps and one broadcast product."""
-    b = math.isqrt(n - 1) + 1
-    coarse = _powers(_cis(b * h * lam), -(-n // b), start=start)
-    return (coarse[:, None, :] * _powers(_cis(h * lam), b)).reshape(-1, lam.size)[:n]
+    """U[j, k] = start_k exp(-2 pi i j h lambda_k), j < n: the ``_factors`` broadcast."""
+    coarse, fine = _factors(start, h, lam, n)
+    return (coarse[:, None, :] * fine).reshape(-1, lam.size)[:n]
+
+
+def _blocks(g: Grid):
+    """(start a, length, step h, node count m) of each interval of g."""
+    return [(a, b - a, h, m) for (a, b), h, m in zip(g.domain.intervals, g.steps,
+                                                     np.bincount(g.interval_index).tolist())]
 
 
 def _exponential_matrix(g: Grid, lam: np.ndarray) -> np.ndarray:
     """U[j, k] = exp(-2 pi i t_j lambda_k) on g's nodes t_j, one block of
     running powers per interval of the grid (see the module notes)."""
     first = _cis(g.nodes[0] * lam)
-    (a0, _), h0 = g.domain.intervals[0], g.steps[0]
+    (a0, _, h0, _), *_ = blocks = _blocks(g)
     blocks = [_uniform_matrix(first * _cis(((a - a0) + (h - h0) / 2) * lam), h, lam, m)
-              for (a, _), h, m in zip(g.domain.intervals, g.steps, np.bincount(g.interval_index))]
+              for a, _, h, m in blocks]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _halves(x):
+    """x = hi + lo, hi its leading 26 bits (Veltkamp's split)."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_sum(a, b):
+    """(fl(a + b), a + b - fl(a + b)), both exactly (Knuth's two-sum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_product(a, b):
+    """(fl(a b), a b - fl(a b)), both exactly: Dekker's error-free product
+    (nan once a factor passes about 1e300)."""
+    p = a * b
+    (ah, al), (bh, bl) = _halves(a), _halves(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _step_drift(h, length, m, lam):
+    """fl(h lam) - lam length / m: m fl(h lam) and length lam split exactly,
+    and their leading parts, within a few eps of each other, cancel exactly."""
+    p, e = _two_product(float(m), h * lam)
+    q, f = _two_product(length, lam)
+    return ((p - q) + (e - f)) / m
+
+
+def _drifts(g: Grid, lam: np.ndarray):
+    """Per interval of g, the largest drift, in cycles, of the phases
+    ``_exponential_matrix`` forms for lam from those of the exact nodes a +
+    (j + 1/2) length / m, both taken from the first interval's first node:
+    the offset's drift plus m - 1 times the step's (see the module notes)."""
+    (a0, l0, h0, m0), *_ = blocks = _blocks(g)
+    for a, length, h, m in blocks:
+        (da, ra), (dh, rh) = _two_sum(a, -a0), _two_sum(h, -h0)
+        d, rd = _two_sum(da, dh / 2)  # the builder's offset; less the exact one:
+        off = (_step_drift(h, length, m, 1.0) - _step_drift(h0, l0, m0, 1.0)) / 2
+        off -= ra + rh / 2 + rd
+        yield (np.abs(off * lam - _two_product(d, lam)[1])
+               + (m - 1) * np.abs(_step_drift(h, length, m, lam)))
+
+
+def check_phases(g: Grid, lam: np.ndarray) -> None:
+    """A ValueError when the phases an exponential system on g forms for the
+    frequencies lam drift from those of the grid's exact nodes by more than
+    ``PHASE_TOL`` cycles (see ``_drifts`` and the module notes)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.max(list(_drifts(g, lam)), initial=0.0)
+    if not err <= PHASE_TOL:
+        raise ValueError(f"frequencies up to |lambda| = {np.abs(lam).max():.6g} round their "
+                         f"phases on this grid by {err:.3g} cycles, past {PHASE_TOL:g}")
 
 
 def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
@@ -282,10 +374,11 @@ def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
 
     The member matrix is formed by ``_exponential_matrix`` only when read; a
     one-interval system also keeps its Toeplitz column (see the module
-    notes)."""
+    notes).  A ValueError when ``check_phases`` refuses the frequencies on g."""
     if ps.dim != 1:
         raise ValueError("exponential systems take 1-D frequency sets")
     lam = ps.xs
+    check_phases(g, lam)
     sys = SynthesisSystem._deferred(g, lam, lambda: _exponential_matrix(g, lam))
     if len(g.steps) == 1:
         sys._column = _toeplitz_column(g.steps[0], lam, g.size)
@@ -365,7 +458,7 @@ def _gram_operator(sys: SynthesisSystem) -> np.ndarray:
         return U.conj().T @ U
     h, n = sys.grid.steps[0], sys.grid.size
     lam = np.asarray(sys.labels, dtype=float)
-    V = math.sqrt(h) * _uniform_matrix(_cis(-(n - 1) * h / 2 * lam), h, lam, n)
+    V = math.sqrt(h) * _uniform_matrix(_cis((1 - n) * np.fmod(h / 2 * lam, 1.0)), h, lam, n)
     V *= sys._multiplier[:, None]
     A = np.concatenate([V.real, V.imag])
     return A.T @ A

@@ -1399,6 +1399,55 @@ def test_grid_steps_below_double_precision_are_exit_2(workdir, capsys, command, 
     assert not out.exists()
 
 
+def _far_points(workdir, s):
+    """The 24 points k / 1.2 (k = -12..11) and +-s."""
+    return write_points(workdir / "far_pts.csv",
+                        np.concatenate([np.arange(-12, 12) / 1.2, [-s, s]]))
+
+
+def test_far_points_on_a_dyadic_step_run(workdir):
+    # at 16 nodes per unit h * 1e12 is an integer, so +-1e12 alias to 0 exactly
+    cfg_path = _oversized(workdir, "frame-bounds", {"n_per_unit": 16},
+                          pointset=_far_points(workdir, 1e12))
+    out = workdir / "report.json"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 0
+    assert read_report(out)["results"]["report"]["spectra_cross_checked"]
+
+
+@pytest.mark.parametrize("command, grid, s", [
+    ("frame-bounds", {"n_per_unit": 10}, 1e15 + 0.3),
+    ("frame-bounds", {"n_per_unit": 10}, 2.0**50),
+    ("mult-check", {"refine": [16, 20]}, 1e15 + 0.3),
+    ("translate-check", {"n_per_unit": 10}, 1e15 + 0.3),
+    ("reconstruct", {"n_per_unit": 320}, 1e15 + 0.3),
+    ("union-check", {"refine": [16, 20]}, 1e15 + 0.3),
+])
+def test_phases_past_the_bound_are_exit_2(workdir, capsys, monkeypatch, command, grid, s):
+    # on a step that is not dyadic the phase of 1e15 + 0.3 drifts by far more
+    # than 1e-10 cycles a row, and fl(0.1) * 2^50, exact as it is, lies 6e-3 from
+    # 2^50 / 10; a sweep is refused at its first such level before any is measured
+    dom = write_json(workdir / "dom.json", {"intervals": [[0.0, 1.0]]})
+    inputs = {
+        "frame-bounds": {"domain": dom},
+        "mult-check": {"domain": dom, "multiplier": {"expr": "2 + sin(t)"}, "sweep": True},
+        "translate-check": {"domain": dom, "generator": {"expr": "1"}},
+        "reconstruct": {"band": dom, "delta": 0.05},
+        "union-check": {"parts": [{"intervals": [[0.0, 1.0]], "expr": "1"}], "sweep": True},
+    }[command]
+    inputs["pointset"] = _far_points(workdir, s)
+    cfg_path = write_json(workdir / "cfg.json",
+                          {"command": command, "inputs": inputs, "grid": grid})
+    eigensolves = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: eigensolves.append(a))
+    out = workdir / "report.json"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"far_pts.csv: bad point set (frequencies up to |lambda| = {s:.6g} round" in err
+    assert eigensolves == []
+    assert not out.exists()
+
+
 def test_grid_cap_counts_the_domain_measure(workdir, capsys):
     from framelab.cli import MAX_GRID_NODES
 

@@ -115,3 +115,25 @@ def test_mirrored_product_gram_converges_at_second_order(seed):
                               for w, mu in ((2.0, 1.0), (2.0, -1.0), (0.25, 2.0), (0.25, -2.0))]
     assert_second_order([(a, b)], lam, phi=lambda t: 2.0 + np.cos(2 * np.pi * (t - c)),
                         modulus=modulus)
+
+
+@settings(max_examples=10)
+@given(seed=SEEDS)
+def test_far_shifted_gram_converges_to_the_unshifted_oracle(seed):
+    """Lambda + 2^40 on the dyadic steps of [a, a + 1]: every h lambda is
+    exact, so the shifted system is the unshifted one times e^{-2 pi i 2^40
+    t}, and its Gram extremes converge at second order to the oracle's of
+    the unshifted set."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(rng.integers(2, 17))
+    # multiples of 2^-12, the spacing of the floats at 2^40, so the shift is exact
+    lam = np.round((k - k.size // 2 + rng.uniform(-0.2, 0.2, k.size)) * 4096) / 4096
+    a = int(rng.integers(-16, 17)) / 8
+    exact = oracle_extremes(lam, [(a, a + 1.0)])
+    ps = PointSet.from_1d(lam + 2.0**40)
+    errors = []
+    for n_per_unit in (128, 256):
+        sys = exponential_system(make_grid(Domain([(a, a + 1.0)]), n_per_unit), ps)
+        errors.append(float(np.abs(np.subtract(measure_bounds(sys).gram_extremes, exact)).sum()))
+    coarse, fine = errors
+    assert 3.6 <= coarse / fine <= 4.4, errors

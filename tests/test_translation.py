@@ -6,7 +6,10 @@ flags.  Each route that ``measure_bounds`` or ``reconstruct`` takes is
 checked against the untranslated system: the real S and the real G of a
 bare one-interval system, the complex S and G of a product with an
 asymmetric modulus, the dense S and G of a two-interval grid, and the
-FFT-applied frame operator of conjugate gradients."""
+FFT-applied frame operator of conjugate gradients.  Shifts of Lambda reach
+1e15 on dyadic steps, where every phase product is exact."""
+
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.framecore import (
     RECON_TOL,
     _frame_operator,
+    _drifts,
     _gram_operator,
+    check_phases,
     exponential_system,
     frame_operator_apply,
     measure_bounds,
@@ -30,15 +35,20 @@ EPS = np.finfo(float).eps
 ROUTES = ("real S", "real G", "complex product", "multi-interval", "CG")
 # interval ends are multiples of 1/8, so E + s is exact
 SHIFTS = (0.0, 1e3, 1e6, 1e9, 1e12)
+# a shift of Lambda this far keeps its phases only where h lambda and the
+# second interval's offset times lambda are exact: on steps 1 / n_per_unit
+# for n_per_unit a power of two, with the second interval 2 after the first
+FAR = 1e15
 
 
-def intervals(rng, route):
-    """One interval [a, a + l], or two with a gap, ends in eighths."""
+def intervals(rng, route, far=False):
+    """One interval [a, a + l], or two with a gap, ends in eighths; ``far``
+    starts the second 2 after the first."""
     a = int(rng.integers(-16, 17)) / 8
     length = int(rng.integers(4, 13)) / 8
     if route != "multi-interval":
         return [(a, a + length)]
-    gap = int(rng.integers(1, 9)) / 8
+    gap = 2 - length if far else int(rng.integers(1, 9)) / 8
     second = int(rng.integers(4, 13)) / 8
     return [(a, a + length), (a + length + gap, a + length + gap + second)]
 
@@ -67,17 +77,29 @@ def translated(route, ivs, n_per_unit, lam, phi, s, sigma):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(ROUTES),
     st.sampled_from(SHIFTS),
-    st.sampled_from([0.0, 0.375, -12.5, 1000.0]),
+    st.sampled_from([0.0, 0.375, -12.5, 1000.0, FAR]),
 )
 @example(seed=1, route="multi-interval", s=1e13, sigma=0.0)
+@example(seed=2, route="real S", s=1e12, sigma=FAR)
+@example(seed=3, route="real G", s=0.0, sigma=-FAR)
+@example(seed=4, route="complex product", s=1e3, sigma=FAR)
+@example(seed=5, route="multi-interval", s=1e13, sigma=FAR)
+@example(seed=6, route="CG", s=1e9, sigma=-FAR)
 @settings(max_examples=100)
 def test_translation_keeps_the_bounds(seed, route, s, sigma):
     rng = np.random.default_rng(seed)
-    ivs = intervals(rng, route)
+    far = abs(sigma) == FAR
+    ivs = intervals(rng, route, far)
     n_per_unit = 2100 if route == "real G" else int(rng.integers(16, 49))
+    if far:
+        n_per_unit = 2048 if route == "real G" else 2 ** int(rng.integers(4, 6))
     hull = ivs[-1][1] - ivs[0][0]
     n = make_grid(Domain(ivs), n_per_unit).size
     lam = frequencies(rng, route, n, sum(b - a for a, b in ivs))
+    if far:
+        # lambda + sigma rounds to eighths; the reference takes the frequencies
+        # the shifted system has, less sigma, exactly
+        lam = (lam + sigma) - sigma
     phi = None
     if route == "complex product":
         phi = np.linspace(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
@@ -94,16 +116,17 @@ def test_translation_keeps_the_bounds(seed, route, s, sigma):
     # s scales the columns and sigma the rows by unimodular constants; the
     # nodes themselves round to ulp(s), which the bounds must not see beyond
     # a few eps * s * max|lambda| of each bound, nor sigma beyond a few eps *
-    # sigma * hull of the upper bound
+    # sigma * hull of the upper bound, unless every phase product is exact
     want = measure_bounds(ref)
     rel = 4 * EPS * s * np.abs(lam).max()
-    floor = (1e-13 + 4 * EPS * abs(sigma) * hull) * want.upper
+    floor = (1e-13 + (0.0 if far else 4 * EPS * abs(sigma) * hull)) * want.upper
     if route == "CG":
         # a target that moves with the members, times e^{-2 pi i sigma t}, meets
         # the old frame operator conjugated by that row scaling, and its
         # coefficients move by unimodular constants
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        row = np.exp(-2j * np.pi * sigma * ref.grid.nodes)
+        phase = sigma * ref.grid.nodes
+        row = np.exp(-2j * np.pi * (phase - np.round(phase)))
         applied = frame_operator_apply(sys, SampledFunction(sys.grid, row * f)).values
         expected = row * frame_operator_apply(ref, SampledFunction(ref.grid, f)).values
         assert np.linalg.norm(applied - expected) <= floor * np.linalg.norm(f)
@@ -124,3 +147,75 @@ def test_translation_keeps_the_bounds(seed, route, s, sigma):
         assert got.gram_extremes is None
     else:
         assert got.gram_extremes == pytest.approx(want.gram_extremes, rel=rel, abs=floor)
+
+
+def far_system(n_per_unit, s):
+    """The 24 points k / 1.2 (k = -12..11) and +-s on [0, 1]."""
+    grid = make_grid(Domain([(0.0, 1.0)]), n_per_unit)
+    lam = np.concatenate([np.arange(-12, 12) / 1.2, [-s, s]])
+    return exponential_system(grid, PointSet.from_1d(lam))
+
+
+@pytest.mark.parametrize("s", [1e11, 1e12, 1e14])
+def test_far_points_on_a_dyadic_step_keep_the_near_bounds(s):
+    """At 16 nodes per unit h s is an integer for s = 1e6 and each s here, so
+    +-s alias to the frequency 0 exactly and the bounds are those of 1e6."""
+    want, got = (measure_bounds(far_system(16, far)) for far in (1e6, s))
+    assert got.spectra_cross_checked and want.spectra_cross_checked
+    assert got.rank == want.rank
+    assert got.lower == pytest.approx(want.lower, rel=1e-12)
+    assert got.upper == pytest.approx(want.upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_per_unit, s, refused", [
+    (16, 1e15 + 0.3, False),
+    (16, 1e154, False),
+    (10, 1e6, False),
+    (10, 1e10, False),
+    (10, 1e7 + 0.3, True),
+    (10, 2.0**50, True),
+    (10, 1e15 + 0.3, True),
+    (10, 1e301, True),
+])
+def test_phases_past_the_bound_are_refused(n_per_unit, s, refused):
+    """A dyadic step rounds no product h lambda, whatever |lambda|.  At h =
+    fl(0.1) the step's phase is judged against lambda / 10: 1e6 and 1e10
+    round to it exactly, while 1e7 + 0.3 drifts by 7e-11 cycles a row and
+    2^50, whose product with fl(0.1) is exact, by 6e-3.  Past about 1e300,
+    where the error-free product's split overflows, |lambda| is refused on
+    any step."""
+    grid = make_grid(Domain([(0.0, 1.0)]), n_per_unit)
+    lam = np.array([-s, 0.5, s])
+    if not refused:
+        check_phases(grid, lam)
+        return
+    with pytest.raises(ValueError, match="round their phases on this grid"):
+        check_phases(grid, lam)
+    with pytest.raises(ValueError, match="round their phases on this grid"):
+        exponential_system(grid, PointSet.from_1d(lam))
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_phase_drift_is_exact(seed):
+    """``_drifts`` gives, in exact arithmetic, |fl(d lambda) - d* lambda| + (m
+    - 1) |fl(h lambda) - lambda length / m| per interval, with d the
+    builder's offset and d* = (a - a_0) + (length / m - length_0 / m_0) / 2
+    the exact one, for ends, steps and frequencies that round anywhere."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1e3, 1e3)
+    ends = np.cumsum([a, *rng.uniform(0.1, 3.0, 3)])
+    ivs = [(ends[0], ends[1]), (ends[2], ends[3])]
+    grid = make_grid(Domain(ivs), int(rng.integers(8, 200)))
+    lam = rng.uniform(-1, 1, 6) * 10.0 ** rng.uniform(0, 12, 6)
+    got = np.array(list(_drifts(grid, lam)))
+    (a0, b0), h0 = ivs[0], grid.steps[0]
+    m0 = int(np.sum(grid.interval_index == 0))
+    for i, ((lo, hi), h) in enumerate(zip(ivs, grid.steps)):
+        m = int(np.sum(grid.interval_index == i))
+        d = (lo - a0) + (h - h0) / 2
+        exact_d = (F(lo) - F(a0)) + (F(hi - lo) / m - F(b0 - a0) / m0) / 2
+        for k, x in enumerate(lam):
+            want = (abs(F(d * x) - exact_d * F(x))
+                    + (m - 1) * abs(F(h * x) - F(x) * F(hi - lo) / m))
+            assert got[i, k] == pytest.approx(float(want), rel=1e-12, abs=1e-300)
