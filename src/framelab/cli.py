@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .domain import Domain, SampledFunction, grid_size, load_domain, make_grid, nodes_resolved
-from .errors import ConfigError, ExprError, FrameLabError, GridMismatchError, input_file
+from .errors import (ConfigError, ExprError, FrameLabError, GridMismatchError, PhaseError,
+                     input_file)
 from .expr import parse_multiplier
 from .framecore import (MAX_ITER, RANK_TOL, RECON_TOL, check_phases, exponential_system,
                         measure_bounds)
@@ -430,25 +431,6 @@ def _check_nodes(dom, cfg: RunConfig, sweep: bool = False) -> None:
                               f"nodes of {dom.intervals} closer than double precision resolves")
 
 
-def _check_phases(cfg: RunConfig, ps: PointSet, grids) -> None:
-    """A ConfigError naming the point-set file when ``exponential_system``
-    would refuse ``ps`` on one of ``grids``: its phases round past the bound
-    of ``check_phases``."""
-    for grid in grids:
-        try:
-            check_phases(grid, ps.xs)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.inputs['pointset']}: bad point set ({exc})") from exc
-
-
-def _check_levels(cfg: RunConfig, dom, ps: PointSet, sweep: bool = True) -> None:
-    """``_check_nodes`` of ``dom`` at ``n_per_unit`` (or, for a sweep, at every
-    refinement level), then ``_check_phases`` of ``ps`` on each of those grids."""
-    _check_nodes(dom, cfg, sweep)
-    levels = cfg.refine if sweep else [cfg.n_per_unit]
-    _check_phases(cfg, ps, (make_grid(dom, n_per_unit) for n_per_unit in levels))
-
-
 def _grid(cfg: RunConfig, dom):
     """The run's grid on ``dom``, once its size passes the cap."""
     _check_nodes(dom, cfg)
@@ -496,8 +478,9 @@ def _bump_generator(spec: BumpSpec, cfg: RunConfig, key: str) -> Generator:
 
 def _refine(cfg: RunConfig, dom, ps, phi_fn, check: str):
     """Refinement sweep of one check over the exponential system along ``ps``,
-    once ``_check_levels`` passed; returns the sweep report and its (level,
-    metric) plot."""
+    once every level passes the grid cap; returns the sweep report and its
+    (level, metric) plot."""
+    _check_nodes(dom, cfg, sweep=True)
     sweep = refine_check(
         dom,
         lambda g: exponential_system(g, ps),
@@ -560,7 +543,6 @@ def _cmd_frame_bounds(cfg: RunConfig):
     dom = load_domain(cfg.inputs["domain"])
     ps = _load_frequencies(cfg.inputs["pointset"])
     grid = _grid(cfg, dom)
-    _check_phases(cfg, ps, [grid])
     report = measure_bounds(exponential_system(grid, ps), cfg.rank_tol)
     return {"report": report}, True, report.table
 
@@ -577,7 +559,6 @@ def _cmd_mult_check(cfg: RunConfig):
     sweep = cfg.inputs.get("sweep", phi_fn is not None)
     if sweep and phi_fn is None:
         raise ConfigError("inputs/multiplier: a CSV multiplier cannot be resampled for a sweep")
-    _check_levels(cfg, dom, ps, sweep and check != "converse")
     if check == "converse":
         base = exponential_system(grid, ps)
         report = check_converse(multiply_system(base, phi), phi, cfg.rank_tol)
@@ -597,18 +578,15 @@ def _cmd_translate_check(cfg: RunConfig):
     sweep = cfg.inputs.get("sweep", False)
     if sweep and hat_fn is None:
         raise ConfigError("inputs/generator: only expression generators support sweeps")
-    _check_phases(cfg, ps, [gen.grid])
     if sweep:
-        _check_levels(cfg, dom, ps)
-    report = classify_translates(gen, ps, rank_tol=cfg.rank_tol)
-    results = {"classification": report}
-    passed = report.consistent
-    plot = None
-    if sweep:
+        # the sweep admits its own levels; the classified grid is admitted
+        # first, so that a refused grid is refused before either eigensolve
+        check_phases(gen.grid, ps.xs)
         sweep_report, plot = _refine(cfg, dom, ps, hat_fn, "frame")
-        results["sweep"] = sweep_report
-        passed = sweep_report.consistent
-    return results, passed, plot
+    report = classify_translates(gen, ps, rank_tol=cfg.rank_tol)
+    if sweep:
+        return {"classification": report, "sweep": sweep_report}, sweep_report.consistent, plot
+    return {"classification": report}, report.consistent, None
 
 
 def _cmd_build_generator(cfg: RunConfig):
@@ -659,7 +637,6 @@ def _cmd_reconstruct(cfg: RunConfig):
             targets.append(SampledFunction(grid, vals * inside))
 
     tol = cfg.inputs.get("residual_tol", RESIDUAL_TOL)
-    _check_phases(cfg, ps, [grid])
     expansions = oversampled_expansions(
         targets, gen, ps, band, tol=cfg.recon_tol, max_iter=cfg.max_iter, rank_tol=cfg.rank_tol,
     )
@@ -693,7 +670,7 @@ def _cmd_union_check(cfg: RunConfig):
         parts.append(UnionPart(dom, parse_multiplier(p["expr"]), label=p.get("label", str(j))))
     spec = UnionSpec(parts, ps)
     sweep = cfg.inputs.get("sweep", False)
-    _check_levels(cfg, spec.domain, ps, sweep)
+    _check_nodes(spec.domain, cfg, sweep)
     if sweep:
         report = union_sweep(spec, levels=cfg.refine, rank_tol=cfg.rank_tol)
         plot = Table(("level", "p_hat", "lower"), report.levels, report.p_hats, report.lowers)
@@ -753,6 +730,9 @@ def run(cfg: RunConfig) -> int:
         results, passed, plot = _HANDLERS[cfg.command](cfg)
     except (ConfigError, ExprError, GridMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PhaseError as exc:
+        print(f"error: {cfg.inputs['pointset']}: bad point set ({exc})", file=sys.stderr)
         return 2
     except (FrameLabError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

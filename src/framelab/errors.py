@@ -29,6 +29,10 @@ class NotInSpanError(ReconstructionError):
     """The target function has a component outside the system's span."""
 
 
+class PhaseError(ValueError):
+    """Frequencies an exponential system refuses: its phases would drift too far."""
+
+
 class ConfigError(FrameLabError):
     """Invalid run configuration: schema violation, bad path, or bad inputs."""
 

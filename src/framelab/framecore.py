@@ -92,7 +92,7 @@ theirs.  Row j of a block carries fl(d lambda_k) + j fl(h lambda_k), where
 the exact nodes carry d* lambda_k + j lambda_k length / m, d the builder's
 offset and d* the exact one; the centring phase adds no product of
 lambda_k, and t_0 lambda_k only moves a column by a constant.
-``exponential_system`` refuses frequencies (a ValueError) whose largest sum
+``exponential_system`` refuses frequencies (a PhaseError) whose largest sum
 over the blocks of |fl(d lambda_k) - d* lambda_k| + (m - 1) |fl(h lambda_k)
 - lambda_k length / m|, each term exact by Dekker's error-free product and
 Knuth's two-sum (``_drifts``), passes ``PHASE_TOL`` = 1e-10 cycles.  A
@@ -116,7 +116,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import Grid, SampledFunction
-from .errors import FrameLabError, GridMismatchError, NotInSpanError, ReconstructionError
+from .errors import (FrameLabError, GridMismatchError, NotInSpanError, PhaseError,
+                     ReconstructionError)
 from .pointset import PointSet
 from .records import Record, Table, write_csv
 
@@ -359,13 +360,13 @@ def _drifts(g: Grid, lam: np.ndarray):
 
 
 def check_phases(g: Grid, lam: np.ndarray) -> None:
-    """A ValueError when the phases an exponential system on g forms for the
+    """A PhaseError when the phases an exponential system on g forms for the
     frequencies lam drift from those of the grid's exact nodes by more than
     ``PHASE_TOL`` cycles (see ``_drifts`` and the module notes)."""
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.max(list(_drifts(g, lam)), initial=0.0)
     if not err <= PHASE_TOL:
-        raise ValueError(f"frequencies up to |lambda| = {np.abs(lam).max():.6g} round their "
+        raise PhaseError(f"frequencies up to |lambda| = {np.abs(lam).max():.6g} round their "
                          f"phases on this grid by {err:.3g} cycles, past {PHASE_TOL:g}")
 
 
@@ -374,7 +375,7 @@ def exponential_system(g: Grid, ps: PointSet) -> SynthesisSystem:
 
     The member matrix is formed by ``_exponential_matrix`` only when read; a
     one-interval system also keeps its Toeplitz column (see the module
-    notes).  A ValueError when ``check_phases`` refuses the frequencies on g."""
+    notes).  A PhaseError when ``check_phases`` refuses the frequencies on g."""
     if ps.dim != 1:
         raise ValueError("exponential systems take 1-D frequency sets")
     lam = ps.xs
@@ -533,7 +534,7 @@ class FrameFlags(Record):
     tight: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameReport(Record):
     """Measured spectral bounds of a synthesis system on its grid.
 
@@ -649,7 +650,7 @@ def write_spectrum_csv(report: FrameReport, path) -> None:
     write_csv(path, report.table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     coeffs: np.ndarray
     residual: float

@@ -210,7 +210,7 @@ def profile_refinement(dom: Domain, phi_fn, levels=DEFAULT_LEVELS) -> Refinement
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultCheckReport(Record):
     """Predicted versus measured status of a multiplied system.
 
@@ -578,7 +578,7 @@ _CHECKS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultSweepReport(Record):
     """Refinement-certified multiplier check.
 
@@ -601,21 +601,21 @@ def refine_check(dom: Domain, system_factory, phi_fn, check: str = "frame",
                  levels=DEFAULT_LEVELS, rank_tol: float = RANK_TOL) -> MultSweepReport:
     """Run one multiplier check across grid refinements and certify the trend.
 
-    ``system_factory(grid)`` builds the base system at each level;
-    ``phi_fn(nodes)`` samples the multiplier.  The per-level metric is the
-    lower bound for frame-type checks and the Gram minimum for the Riesz check
-    (floor form of ``trend_is_stable``), the upper bound for the Bessel check
-    (ceiling form), and the spread for the tight check, where level 0
-    predicts and every level must measure tight.
+    ``system_factory(grid)`` builds the base system at each level, all before
+    the first eigensolve, so that a level it refuses (``exponential_system``'s
+    ``PhaseError``) costs none; ``phi_fn(nodes)`` samples the multiplier.  The
+    per-level metric is the lower bound for frame-type checks and the Gram
+    minimum for the Riesz check (floor form of ``trend_is_stable``), the upper
+    bound for the Bessel check (ceiling form), and the spread for the tight
+    check, where level 0 predicts and every level must measure tight.
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check kind {check!r}")
     kind = _KINDS[check]
     trace = profile_refinement(dom, phi_fn, levels)
-    reports = [
-        _CHECKS[check](system_factory(phi.grid), phi, rank_tol=rank_tol, trace=trace)
-        for phi in trace.samples
-    ]
+    systems = [system_factory(phi.grid) for phi in trace.samples]
+    reports = [_CHECKS[check](base, phi, rank_tol=rank_tol, trace=trace)
+               for base, phi in zip(systems, trace.samples)]
     metric = [float(kind.metric(r)) for r in reports]
     if kind.predicted_by is None:
         predicted = reports[0].predicted["tight"]

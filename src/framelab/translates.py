@@ -273,17 +273,17 @@ def obstruction_trend(dom: Domain, hat_fn, levels=DEFAULT_LEVELS,
     """Measure the translate-system lower bound across refinements.
 
     ``hat_fn(nodes)`` samples the generator spectrum at each level;
-    ``lattice_for(grid)`` overrides the default matched lattice.
+    ``lattice_for(grid)`` overrides the default matched lattice.  Every
+    level's system is built before the first eigensolve, so that a lattice
+    refused at any level costs none.
     """
     if len(dom.intervals) != 1:
         raise FrameLabError("the obstruction sweep uses a single-interval band")
     hat_trace = profile_refinement(dom, hat_fn, levels)
     make_ps = lattice_for if lattice_for is not None else matched_lattice
-    lowers = []
-    for hat in hat_trace.samples:
-        base = exponential_system(hat.grid, make_ps(hat.grid))
-        rep = measure_bounds(multiply_system(base, hat), rank_tol)
-        lowers.append(rep.lower)
+    systems = [exponential_system(hat.grid, make_ps(hat.grid)) for hat in hat_trace.samples]
+    lowers = [measure_bounds(multiply_system(base, hat), rank_tol).lower
+              for base, hat in zip(systems, hat_trace.samples)]
     ratios = tuple(
         lowers[i + 1] / lowers[i] if lowers[i] > 0 else math.inf for i in range(len(lowers) - 1)
     )
@@ -421,7 +421,7 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
     return results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterFrameReport(Record):
     """Bounds of the translate system projected onto the inner band.
 
@@ -475,7 +475,7 @@ def outer_frame_check(gen: Generator, ps: PointSet, band: Domain,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvolutionReport(Record):
     """Envelope checks for the translate system of a convolution.
 
@@ -617,7 +617,7 @@ class UnionSpec:
         return Domain.merged(iv for part in self.parts for iv in part.domain.intervals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionReport(Record):
     """Stacked translate system over a union of bands.
 
@@ -643,7 +643,12 @@ class UnionReport(Record):
 def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = RANK_TOL) -> UnionReport:
     """Measure the stacked system {e_lambda chi_j hhat_j} on the union grid."""
     grid = make_grid(spec.domain, n_per_unit)
-    exp = exponential_system(grid, spec.pointset)
+    return _union_report(spec, exponential_system(grid, spec.pointset), rank_tol)
+
+
+def _union_report(spec: UnionSpec, exp: SynthesisSystem, rank_tol: float) -> UnionReport:
+    """``union_check`` of the exponential system ``exp`` on the union grid."""
+    grid = exp.grid
     blocks, part_bounds, part_ranks = [], [], []
     sum_sq = np.zeros(grid.size)
     for part in spec.parts:
@@ -689,7 +694,7 @@ def union_check(spec: UnionSpec, n_per_unit: int, rank_tol: float = RANK_TOL) ->
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionSweepReport(Record):
     levels: tuple
     reports: tuple
@@ -703,9 +708,11 @@ class UnionSweepReport(Record):
 def union_sweep(spec: UnionSpec, levels=DEFAULT_LEVELS,
                 rank_tol: float = RANK_TOL) -> UnionSweepReport:
     """Union check across refinements: a common zero of every generator drives
-    p_hat, and with it the stacked lower bound, to zero."""
+    p_hat, and with it the stacked lower bound, to zero.  Every level's system
+    is built before the first eigensolve, as in ``refine_check``."""
     levels = refinement_levels(levels)
-    reports = [union_check(spec, lv, rank_tol) for lv in levels]
+    systems = [exponential_system(make_grid(spec.domain, lv), spec.pointset) for lv in levels]
+    reports = [_union_report(spec, exp, rank_tol) for exp in systems]
     p_hats = [r.p_hat for r in reports]
     lowers = [r.total_report.lower for r in reports]
     predicted = trend_is_stable(p_hats)

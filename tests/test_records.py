@@ -21,18 +21,23 @@ from hypothesis.extra import numpy as hnp
 
 import framelab
 from framelab.domain import Domain, SampledFunction, make_grid
-from framelab.framecore import exponential_system, measure_bounds
-from framelab.multiplication import profile_multiplier, profile_refinement
+from framelab.framecore import exponential_system, measure_bounds, reconstruct
+from framelab.multiplication import (check_frame_multiplication, profile_multiplier,
+                                     profile_refinement, refine_check)
 from framelab.pointset import PointSet, beurling_density
 from framelab.records import Record, Table, dumps, jsonable
 from framelab.translates import (
     BumpSpec,
     ExpansionResult,
     Generator,
+    UnionPart,
+    UnionSpec,
     build_bump_generator,
     convolution_closure_check,
     matched_lattice,
     outer_frame_check,
+    union_check,
+    union_sweep,
 )
 
 E = Domain([(-0.5, 0.5)])
@@ -73,6 +78,46 @@ def test_convolution_report_keys(mode):
         assert d["product"] is None and d["measured"] is None
     else:
         assert frame_report_keys(d["product"]) == FRAME_REPORT_KEYS
+
+
+def _reports():
+    """A builder of each report class that holds an array, itself or in a
+    FrameReport, each of one system on E."""
+    g = make_grid(E, 32)
+    exp = exponential_system(g, matched_lattice(g))
+    phi = lambda t: 2.0 + np.sin(2 * np.pi * t)
+    hat = SampledFunction(g, phi(g.nodes))
+    union = UnionSpec([UnionPart(E, phi)], matched_lattice(g))
+    spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
+    bump = build_bump_generator(spec, make_grid(spec.dilated, 320))
+    return {
+        "FrameReport": lambda: measure_bounds(exp),
+        "ReconstructionResult": lambda: reconstruct(exp, hat),
+        "MultCheckReport": lambda: check_frame_multiplication(exp, hat),
+        "MultSweepReport": lambda: refine_check(
+            E, lambda grid: exponential_system(grid, matched_lattice(grid)), phi,
+            levels=(16, 32)),
+        "UnionReport": lambda: union_check(union, 32),
+        "UnionSweepReport": lambda: union_sweep(union, levels=(16, 32)),
+        "OuterFrameReport": lambda: outer_frame_check(bump, matched_lattice(bump.grid),
+                                                      spec.base_domain),
+        "ConvolutionReport": lambda: convolution_closure_check(
+            Generator(hat), Generator(hat), matched_lattice(g), "frame"),
+    }
+
+
+@pytest.mark.parametrize("kind", [
+    "FrameReport", "ReconstructionResult", "MultCheckReport", "MultSweepReport",
+    "UnionReport", "UnionSweepReport", "OuterFrameReport", "ConvolutionReport",
+])
+def test_reports_compare_and_hash_by_identity(kind):
+    # a generated __eq__ would compare the arrays a report holds, and raise
+    make = _reports()[kind]
+    a, b = make(), make()
+    assert type(a).__name__ == kind
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert a in [b, a] and b not in [a]
 
 
 def test_unrepresented_fields_stay_out():

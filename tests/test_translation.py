@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab.domain import Domain, SampledFunction, make_grid
+from framelab.errors import PhaseError
 from framelab.framecore import (
     RECON_TOL,
     _frame_operator,
@@ -28,8 +29,9 @@ from framelab.framecore import (
     measure_bounds,
     reconstruct,
 )
-from framelab.multiplication import multiply_system
+from framelab.multiplication import multiply_system, refine_check
 from framelab.pointset import PointSet
+from framelab.translates import UnionPart, UnionSpec, obstruction_trend, union_sweep
 
 EPS = np.finfo(float).eps
 ROUTES = ("real S", "real G", "complex product", "multi-interval", "CG")
@@ -193,6 +195,33 @@ def test_phases_past_the_bound_are_refused(n_per_unit, s, refused):
         check_phases(grid, lam)
     with pytest.raises(ValueError, match="round their phases on this grid"):
         exponential_system(grid, PointSet.from_1d(lam))
+
+
+@pytest.mark.parametrize("sweep", ["refine_check", "union_sweep", "obstruction_trend"])
+def test_sweeps_refuse_a_far_level_before_any_eigensolve(monkeypatch, sweep):
+    """On [0, 1] the 24 points k / 1.2 and +-(1e15 + 0.3) keep their phases at
+    16 nodes per unit, a dyadic step, and drift past the bound at 20: each
+    sweep builds both levels' systems first, so it measures neither."""
+    dom = Domain([(0.0, 1.0)])
+    s = 1e15 + 0.3
+    ps = PointSet.from_1d(np.concatenate([np.arange(-12, 12) / 1.2, [-s, s]]))
+    check_phases(make_grid(dom, 16), ps.xs)
+    phi = lambda t: 2 + np.sin(t)
+    run = {
+        "refine_check": lambda: refine_check(dom, lambda g: exponential_system(g, ps), phi,
+                                             levels=(16, 20)),
+        "union_sweep": lambda: union_sweep(UnionSpec([UnionPart(dom, phi)], ps),
+                                           levels=(16, 20)),
+        "obstruction_trend": lambda: obstruction_trend(dom, phi, levels=(16, 20),
+                                                       lattice_for=lambda g: ps),
+    }[sweep]
+    eigensolves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: eigensolves.append(a) or eigvalsh(*a, **k))
+    with pytest.raises(PhaseError, match="round their phases on this grid"):
+        run()
+    assert eigensolves == []
 
 
 @settings(max_examples=50)
