@@ -39,7 +39,6 @@ from .framecore import (
     reconstruct,
     reconstruct_all,
     synthesize,
-    write_spectrum_csv,
 )
 from .multiplication import (
     MultCheckReport,
@@ -71,7 +70,6 @@ from .pointset import (
     gap_details,
     load_pointset,
     separation,
-    write_density_csv,
 )
 from .translates import (
     BumpSpec,
@@ -86,16 +84,12 @@ from .translates import (
     build_bump_generator,
     classify_translates,
     convolution_closure_check,
-    expansion_tail_profile,
-    frequency_frame_sum,
     load_generator_csv,
     obstruction_trend,
     outer_frame_check,
     oversampled_expansion,
     oversampled_expansions,
-    save_generator_csv,
     smoothstep,
-    time_frame_sum,
     translate_system,
     union_check,
     union_sweep,

@@ -9,7 +9,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import operator
@@ -40,7 +39,7 @@ from .pointset import (
     load_pointset,
     separation,
 )
-from .records import Table, dumps
+from .records import Table, dumps, write_csv
 from .translates import (
     BumpSpec,
     Generator,
@@ -411,11 +410,6 @@ def _atomic_write(path: str, fill) -> None:
         raise
 
 
-def _write_csv(path: str, table: Table) -> None:
-    """Write ``table`` as CSV, its keys then its rows, through ``_atomic_write``."""
-    _atomic_write(path, lambda fh: csv.writer(fh).writerows([table.keys, *table.rows()]))
-
-
 def _check_nodes(dom, cfg: RunConfig, sweep: bool = False) -> None:
     """A ConfigError naming the key when a grid of ``dom`` at ``n_per_unit``
     (or, for a sweep, at any refinement level) would pass MAX_GRID_NODES or
@@ -593,7 +587,7 @@ def _cmd_build_generator(cfg: RunConfig):
     spec = _load_bump(cfg.inputs["bump"])
     gen = _bump_generator(spec, cfg, "inputs/bump")
     grid, table = gen.grid, gen.table
-    _write_csv(cfg.inputs["csv_out"], table)
+    _atomic_write(cfg.inputs["csv_out"], lambda fh: write_csv(fh, table))
     on_base = spec.base_domain.contains(grid.nodes)
     results = {
         "bump": spec,
@@ -758,7 +752,7 @@ def run(cfg: RunConfig) -> int:
             _atomic_write(cfg.report_path, lambda fh: fh.write(text))
             if cfg.format == "csv" and plot is not None:
                 base, _ = os.path.splitext(cfg.report_path)
-                _write_csv(base + ".csv", plot)
+                _atomic_write(base + ".csv", lambda fh: write_csv(fh, plot))
         else:
             sys.stdout.write(text)
     except OSError as exc:

@@ -66,19 +66,6 @@ class Domain:
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    @property
-    def radius(self) -> float:
-        """Half the diameter of the smallest interval containing the domain."""
-        return (self.intervals[-1][1] - self.intervals[0][0]) / 2.0
-
-    @property
-    def center(self) -> float:
-        return (self.intervals[-1][1] + self.intervals[0][0]) / 2.0
-
-    @property
-    def hull(self) -> tuple[float, float]:
-        return (self.intervals[0][0], self.intervals[-1][1])
-
     def contains(self, x):
         """Closed-interval membership, vectorized over x."""
         x = np.asarray(x, dtype=float)

@@ -119,7 +119,7 @@ from .domain import Grid, SampledFunction
 from .errors import (FrameLabError, GridMismatchError, NotInSpanError, PhaseError,
                      ReconstructionError)
 from .pointset import PointSet
-from .records import Record, Table, write_csv
+from .records import Record, Table
 
 __all__ = [
     "SynthesisSystem",
@@ -134,7 +134,6 @@ __all__ = [
     "measure_bounds",
     "reconstruct",
     "reconstruct_all",
-    "write_spectrum_csv",
     "RANK_TOL",
     "TIGHT_SPREAD",
     "RECON_TOL",
@@ -165,10 +164,9 @@ _MIRROR_ULPS = 8
 
 
 class SynthesisSystem:
-    """Ordered finite family of sampled functions sharing one grid.
-
-    ``members`` may be a list of SampledFunctions or an (n_nodes, n_members)
-    complex matrix of member values.  Value semantics: never mutated.
+    """Ordered finite family of sampled functions sharing one grid, given by
+    the (n_nodes, n_members) complex matrix of member values.  Value
+    semantics: never mutated.
     """
 
     # set only on exponential systems of a uniform one-interval grid and on
@@ -178,19 +176,10 @@ class SynthesisSystem:
     _column = None
     _multiplier = None
 
-    def __init__(self, grid: Grid, members, labels=None):
-        if isinstance(members, np.ndarray):
-            mat = np.ascontiguousarray(members, dtype=complex)
-            if mat.ndim != 2 or mat.shape[0] != grid.size:
-                raise ValueError(f"member matrix must be ({grid.size}, K)")
-        else:
-            members = list(members)
-            if not members:
-                raise ValueError("system needs at least one member")
-            for m in members:
-                if not m.grid.matches(grid):
-                    raise GridMismatchError("all members must share the system grid")
-            mat = np.stack([m.values for m in members], axis=1)
+    def __init__(self, grid: Grid, matrix: np.ndarray, labels=None):
+        mat = np.ascontiguousarray(matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != grid.size:
+            raise ValueError(f"member matrix must be ({grid.size}, K)")
         if mat.shape[1] == 0:
             raise ValueError("system needs at least one member")
         self.grid = grid
@@ -230,9 +219,6 @@ class SynthesisSystem:
     def __len__(self) -> int:
         return self.size
 
-    def member(self, k: int) -> SampledFunction:
-        return SampledFunction(self.grid, self.matrix[:, k])
-
     @cached_property
     def weighted(self) -> np.ndarray:
         """sqrt(w)-scaled member matrix; its singular values squared are the bounds."""
@@ -250,13 +236,6 @@ class SynthesisSystem:
         T of ``_column``; real, because its first column is Hermitian."""
         c = self._column
         return np.fft.fft(np.concatenate([c, [0.0], c[:0:-1].conj()])).real
-
-    def permuted(self, order) -> "SynthesisSystem":
-        order = list(order)
-        return SynthesisSystem(self.grid, self.matrix[:, order], [self.labels[i] for i in order])
-
-    def scaled(self, s: complex) -> "SynthesisSystem":
-        return SynthesisSystem(self.grid, s * self.matrix, self.labels)
 
     def multiplied(self, phi: np.ndarray) -> "SynthesisSystem":
         """Members phi * psi_k for node values phi, formed only when read; keeps
@@ -644,10 +623,6 @@ def measure_bounds(sys: SynthesisSystem, rank_tol: float = RANK_TOL,
         gram_extremes=gram_extremes,
         spectra_cross_checked=cross_checked,
     )
-
-
-def write_spectrum_csv(report: FrameReport, path) -> None:
-    write_csv(path, report.table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -377,11 +377,12 @@ class _Kind:
 
     The skeleton runs one order for every kind: profile the multiplier,
     measure the given system, judge the hypothesis on that one report, and
-    only then form and measure the other system.  ``spans``: the hypothesis
-    demands a frame of the whole space, checked against the member count
-    before anything is measured and then on the given report, beside the
-    kind's own ``hypothesis`` (None: nothing more); ``violation`` says what
-    failed.  ``converse``: the given system is the product, and the other is
+    only then form and measure the other system.  A kind with a
+    ``violation`` has a hypothesis, which demands at least a frame of the
+    whole space: it is checked against the member count before anything is
+    measured and then on the given report, beside the kind's own
+    ``hypothesis`` (None: nothing more); ``violation`` says what failed.
+    ``converse``: the given system is the product, and the other is
     formed by dividing the multiplier back out, so it plays the base.
     ``judge`` predicts, measures and names the bracket, which the skeleton
     tests.  A sweep traces ``metric`` per level and takes its prediction from
@@ -395,7 +396,6 @@ class _Kind:
     converse: bool = False
     metric: Callable | None = None
     predicted_by: str | None = None
-    spans: bool = False
 
 
 def require_members(sys: SynthesisSystem, violation: str) -> None:
@@ -410,31 +410,27 @@ _NOT_A_FRAME = "base system is not a frame of the whole space"
 
 _KINDS = {
     "frame": _Kind(
-        _judge_frame, _NOT_A_FRAME, spans=True,
+        _judge_frame, _NOT_A_FRAME,
         metric=lambda r: r.mult_report.lower, predicted_by="bounded_below",
     ),
     "tight": _Kind(
-        _judge_tight, "base system is not a tight frame", lambda r: r.flags.tight, spans=True,
+        _judge_tight, "base system is not a tight frame", lambda r: r.flags.tight,
         metric=lambda r: r.mult_report.upper - r.mult_report.lower,
     ),
     "riesz": _Kind(
-        _judge_riesz, "base system is not a Riesz basis",
-        lambda r: r.flags.riesz_sequence and r.rank == r.dim_space,
+        _judge_riesz, "base system is not a Riesz basis", lambda r: r.flags.riesz_sequence,
         metric=lambda r: r.details["gram_extremes"][0], predicted_by="bounded_below",
     ),
     "bessel": _Kind(
         _judge_bessel, metric=lambda r: r.mult_report.upper, predicted_by="sup_stable",
     ),
     "frame_sequence": _Kind(
-        _judge_frame_sequence, _NOT_A_FRAME, spans=True,
+        _judge_frame_sequence, _NOT_A_FRAME,
         metric=lambda r: r.mult_report.lower, predicted_by="bounded_below_on_support",
     ),
-    "converse": _Kind(
-        _judge_converse, "multiplied system is not a frame", converse=True, spans=True,
-    ),
+    "converse": _Kind(_judge_converse, "multiplied system is not a frame", converse=True),
     "translates": _Kind(
         _judge_translates, "the exponential system is not a frame of the sampled band",
-        spans=True,
     ),
 }
 
@@ -456,13 +452,13 @@ def _measured(r: FrameReport, check: str = "") -> str:
 def _run_check(check: str, sys: SynthesisSystem, phi: SampledFunction, rank_tol: float,
                trace: RefinementTrace | None, **options) -> MultCheckReport:
     kind = _KINDS[check]
-    if kind.spans:
+    if kind.violation:
         require_members(sys, kind.violation)
     profile = profile_multiplier(sys.grid, phi)
     if kind.converse and not profile.bounded_below_on_grid:
         raise FrameLabError("division by near-zero multiplier")
     given = measure_bounds(sys, rank_tol)
-    if (kind.spans and not given.flags.frame_for_whole_space
+    if (kind.violation and not given.flags.frame_for_whole_space
             or kind.hypothesis is not None and not kind.hypothesis(given)):
         raise HypothesisError(f"hypothesis violated: {kind.violation} "
                               f"({_measured(given, check)})")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameLabError, input_file
-from .records import Record, Table, write_csv
+from .records import Record, Table
 
 __all__ = [
     "PointSet",
@@ -33,7 +33,6 @@ __all__ = [
     "beurling_ball_frame_predicate",
     "densify",
     "load_pointset",
-    "write_density_csv",
 ]
 
 _SCAN_GUARD = 4_000_000  # max scan-lattice sites for d >= 2 searches
@@ -99,11 +98,6 @@ class PointSet:
             raise ValueError("xs is only defined for 1-D point sets")
         return self.points[:, 0]
 
-    def translated(self, shift) -> "PointSet":
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-        box = tuple((l + s, u + s) for (l, u), s in zip(self.box, shift))
-        return PointSet(self.points + shift[None, :], box)
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -119,12 +113,6 @@ class PointSet:
         if isinstance(dim, bool) or dim != ps.dim:
             raise ValueError(f"dim {dim!r} does not match {ps.dim}-D points")
         return ps
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
 
     @classmethod
     def from_csv(cls, path, box=None) -> "PointSet":
@@ -246,7 +234,7 @@ def gap_details(ps: PointSet) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport(Record):
     """Window-count densities at finitely many radii.
 
@@ -279,10 +267,6 @@ class DensityReport(Record):
         """The densities as one (r, nu_minus, nu_plus, d_minus, d_plus) row per radius."""
         return Table(("r", "nu_minus", "nu_plus", "d_minus", "d_plus"), self.r_values,
                      self.nu_minus, self.nu_plus, self.d_minus, self.d_plus)
-
-
-def write_density_csv(report: DensityReport, path) -> None:
-    write_csv(path, report.table)
 
 
 def _window_counts_1d(xs: np.ndarray, box, r: float) -> tuple[int, int]:

@@ -50,10 +50,10 @@ class Table:
         return zip(*self.columns)
 
 
-def write_csv(path, table: Table) -> None:
-    """Write ``table`` to ``path`` as CSV: its keys, then its rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([table.keys, *table.rows()])
+def write_csv(fh, table: Table) -> None:
+    """Write ``table`` as CSV, its keys then its rows, to the text file ``fh``
+    (opened with ``newline=""``)."""
+    csv.writer(fh).writerows([table.keys, *table.rows()])
 
 
 def jsonable(obj):

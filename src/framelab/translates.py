@@ -4,8 +4,8 @@ For h with spectrum supported on a bounded set, the shifted copies h(. - l)
 pair with a bandlimited f through <f, h(. - l)> = <fhat, e_l hhat>, so every
 translate measurement here is a multiplier measurement on the frequency grid:
 the translate system of h along a point set is the exponential system times
-hhat.  Time-side evaluations exist only to confirm that dictionary is unitary
-at the discrete level.
+hhat.  Nothing here evaluates in time: the time-side quadrature that confirms
+the dictionary is unitary at the discrete level is a test oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .framecore import (
     RECON_TOL,
     FrameReport,
     SynthesisSystem,
-    _exponential_matrix,
-    analyze,
     exponential_system,
     measure_bounds,
     reconstruct_all,
@@ -46,7 +44,7 @@ from .multiplication import (
     within_envelope,
 )
 from .pointset import PointSet
-from .records import Record, Table, jsonable, write_csv
+from .records import Record, Table
 
 __all__ = [
     "Generator",
@@ -69,10 +67,6 @@ __all__ = [
     "convolution_closure_check",
     "union_check",
     "union_sweep",
-    "time_frame_sum",
-    "frequency_frame_sum",
-    "expansion_tail_profile",
-    "save_generator_csv",
     "load_generator_csv",
 ]
 
@@ -88,37 +82,11 @@ class Generator:
     def grid(self) -> Grid:
         return self.hat.grid
 
-    def time_values(self, x) -> np.ndarray:
-        """h(x) = integral of hhat(w) e^{2 pi i w x} dw by grid quadrature."""
-        return self._kernel(x) @ (self.grid.weights * self.hat.values)
-
-    def translate_values(self, x, ps: PointSet) -> np.ndarray:
-        """h(x_j - lambda_k) for every x_j and lambda_k: the members e_lambda
-        hhat of the translate system taken to time by one quadrature kernel."""
-        spectra = exponential_system(self.grid, ps).matrix
-        spectra *= (self.grid.weights * self.hat.values)[:, None]
-        return self._kernel(x) @ spectra
-
-    def _kernel(self, x) -> np.ndarray:
-        """exp(2 pi i x_m omega_j): the conjugate transpose of the exponential
-        system along x.  Its first-row phase, constant for each x_m, cancels
-        between f and h in every inner product the time side takes."""
-        members = _exponential_matrix(self.grid, np.asarray(x, dtype=float).ravel())
-        return np.conjugate(members, out=members).T
-
-    @property
-    def norm_sq(self) -> float:
-        return self.hat.norm_sq
-
     @property
     def table(self) -> Table:
         """The spectrum as (omega, re, im) rows, one per grid node."""
         values = self.hat.values
         return Table(("omega", "re", "im"), self.grid.nodes, values.real, values.imag)
-
-
-def save_generator_csv(gen: Generator, path) -> None:
-    write_csv(path, gen.table)
 
 
 def load_generator_csv(path, grid: Grid, label: str = "h") -> Generator:
@@ -328,9 +296,6 @@ class ExpansionResult(Record):
     def table(self) -> Table:
         """The expansion as (lambda, re, im) rows, one per point."""
         return Table(("lambda", "re", "im"), self.labels, self.alphas.real, self.alphas.imag)
-
-    def to_records(self) -> list:
-        return jsonable(self.table)
 
 
 def oversampled_expansion(f_hat: SampledFunction, gen: Generator, ps: PointSet,
@@ -659,15 +624,7 @@ def _union_report(spec: UnionSpec, exp: SynthesisSystem, rank_tol: float) -> Uni
         rep = measure_bounds(exp.multiplied(mask.astype(complex)), rank_tol)
         part_bounds.append((rep.lower, rep.upper))
         part_ranks.append(rep.rank)
-    stacked = SynthesisSystem(
-        grid,
-        np.concatenate(blocks, axis=1),
-        labels=[
-            (float(l), part.label or str(j))
-            for j, part in enumerate(spec.parts)
-            for l in exp.labels
-        ],
-    )
+    stacked = SynthesisSystem(grid, np.concatenate(blocks, axis=1))
     total_report = measure_bounds(stacked, rank_tol)
     p_hat = float(sum_sq.min())
     P_hat = float(sum_sq.max())
@@ -728,67 +685,3 @@ def union_sweep(spec: UnionSpec, levels=DEFAULT_LEVELS,
         consistent=bool(consistent),
     )
 
-
-def frequency_frame_sum(gen: Generator, ps: PointSet, f_hat: SampledFunction) -> float:
-    """sum_k |<fhat, e_k hhat>|^2 on the frequency grid."""
-    sys = translate_system(gen, ps, gen.grid)
-    coeffs = analyze(sys, f_hat)
-    return float(np.vdot(coeffs, coeffs).real)
-
-
-def time_frame_sum(gen: Generator, ps: PointSet, f_hat: SampledFunction,
-                   half_width: float | None = None, dt: float | None = None) -> float:
-    """sum_k |<f, h(. - lambda_k)>|^2 by time-domain quadrature.
-
-    Both f and h are evaluated in time from their grid spectra.  With the
-    default window (half width 1/(2 * spacing), for nodes on one lattice
-    nodes[0] + k * spacing) the discrete time sum reproduces the frequency-side
-    sum exactly: the node frequency differences are multiples of the spacing,
-    and those exponentials integrate to zero over the matched window.
-    """
-    grid = gen.grid
-    if not f_hat.grid.matches(grid):
-        raise FrameLabError("target and generator live on different grids")
-    w = grid.weights
-    omega = grid.nodes
-    if half_width is None:
-        step = float(w[0])
-        k = (omega - omega[0]) / step
-        if not np.allclose(w, step, rtol=1e-12, atol=0) or np.abs(k - np.rint(k)).max() > 1e-9:
-            raise FrameLabError("matched window needs a uniform grid; pass half_width")
-        half_width = 1.0 / (2.0 * step)
-    span = float(omega[-1] - omega[0])
-    if dt is None:
-        m_steps = int(math.ceil(2.0 * half_width * (span + 1.0)))
-    else:
-        m_steps = max(1, int(math.ceil(2.0 * half_width / dt)))
-    dt = 2.0 * half_width / m_steps
-    x = -half_width + (np.arange(m_steps) + 0.5) * dt
-    f_time = Generator(f_hat).time_values(x)
-    inner_products = dt * (gen.translate_values(x, ps).conj().T @ f_time)
-    return float(np.vdot(inner_products, inner_products).real)
-
-
-def expansion_tail_profile(gen: Generator, ps: PointSet, alphas, xs, radii) -> dict:
-    """Sup-norm tails of sum_{|lambda| > R} alpha_k g(x - lambda_k) on a window,
-    with the Cauchy-Schwarz budget ||alpha_tail|| * sqrt(sum |g(x - lambda)|^2)."""
-    xs = np.asarray(xs, dtype=float)
-    alphas = np.asarray(alphas, dtype=complex)
-    lam = ps.xs
-    if alphas.shape != lam.shape:
-        raise ValueError("one coefficient per point required")
-    g_shifted = gen.translate_values(xs, ps)
-    tail_max, cs_bound = [], []
-    for r in radii:
-        mask = np.abs(lam) > r
-        if mask.any():
-            tail = g_shifted[:, mask] @ alphas[mask]
-            tail_max.append(float(np.abs(tail).max()))
-            budget = float(np.linalg.norm(alphas[mask])) * float(
-                np.sqrt((np.abs(g_shifted[:, mask]) ** 2).sum(axis=1)).max()
-            )
-            cs_bound.append(budget)
-        else:
-            tail_max.append(0.0)
-            cs_bound.append(0.0)
-    return {"radii": list(radii), "tail_max": tail_max, "cs_bound": cs_bound}

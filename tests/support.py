@@ -5,12 +5,16 @@ singular values instead of eigendecompositions, dense least squares instead
 of conjugate gradients, sliding-window scans instead of event enumeration.
 """
 
+import math
+
 import numpy as np
 
 from framelab.domain import Domain, Grid, SampledFunction, make_grid
-from framelab.framecore import SynthesisSystem, exponential_system
+from framelab.errors import FrameLabError
+from framelab.framecore import SynthesisSystem, _exponential_matrix, exponential_system
 from framelab.multiplication import STABILITY
 from framelab.pointset import PointSet
+from framelab.records import Table, write_csv
 
 
 def dft_base(grid: Grid) -> SynthesisSystem:
@@ -41,6 +45,18 @@ def random_system(rng, n_nodes: int, n_members: int, length: float = 1.0) -> Syn
 def random_sampled(rng, grid: Grid) -> SampledFunction:
     vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     return SampledFunction(grid, vals)
+
+
+def write_table(path, table: Table) -> None:
+    """Write ``table`` to ``path`` as CSV, as the CLI writes its CSV files."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, table)
+
+
+def write_points_csv(path, ps: PointSet) -> None:
+    """One point a row, each coordinate by its shortest repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in ps.points.tolist())
 
 
 # --- oracles ---------------------------------------------------------------
@@ -134,3 +150,86 @@ def oracle_frame_sums(sys: SynthesisSystem, f: SampledFunction) -> float:
         ip = np.sum(w * f.values * np.conj(sys.matrix[:, k]))
         total += abs(ip) ** 2
     return float(total)
+
+
+# --- time side ---------------------------------------------------------------
+# A translate system is measured in frequency; these evaluate it in time by
+# quadrature of the grid spectra, the other side of <f, h(. - l)> = <fhat, e_l hhat>.
+
+
+def _time_kernel(grid: Grid, x) -> np.ndarray:
+    """exp(2 pi i x_m omega_j): the conjugate transpose of the exponential
+    system along x.  Its first-row phase, constant for each x_m, cancels
+    between f and h in every inner product the time side takes."""
+    members = _exponential_matrix(grid, np.asarray(x, dtype=float).ravel())
+    return np.conjugate(members, out=members).T
+
+
+def time_values(hat: SampledFunction, x) -> np.ndarray:
+    """h(x) = integral of hhat(w) e^{2 pi i w x} dw by grid quadrature."""
+    return _time_kernel(hat.grid, x) @ (hat.grid.weights * hat.values)
+
+
+def translate_values(hat: SampledFunction, x, ps: PointSet) -> np.ndarray:
+    """h(x_j - lambda_k) for every x_j and lambda_k: the members e_lambda
+    hhat of the translate system taken to time by one quadrature kernel."""
+    spectra = exponential_system(hat.grid, ps).matrix
+    spectra *= (hat.grid.weights * hat.values)[:, None]
+    return _time_kernel(hat.grid, x) @ spectra
+
+
+def time_frame_sum(gen, ps: PointSet, f_hat: SampledFunction,
+                   half_width: float | None = None, dt: float | None = None) -> float:
+    """sum_k |<f, h(. - lambda_k)>|^2 by time-domain quadrature.
+
+    Both f and h are evaluated in time from their grid spectra.  With the
+    default window (half width 1/(2 * spacing), for nodes on one lattice
+    nodes[0] + k * spacing) the discrete time sum reproduces the frequency-side
+    sum exactly: the node frequency differences are multiples of the spacing,
+    and those exponentials integrate to zero over the matched window.
+    """
+    grid = gen.grid
+    if not f_hat.grid.matches(grid):
+        raise FrameLabError("target and generator live on different grids")
+    w = grid.weights
+    omega = grid.nodes
+    if half_width is None:
+        step = float(w[0])
+        k = (omega - omega[0]) / step
+        if not np.allclose(w, step, rtol=1e-12, atol=0) or np.abs(k - np.rint(k)).max() > 1e-9:
+            raise FrameLabError("matched window needs a uniform grid; pass half_width")
+        half_width = 1.0 / (2.0 * step)
+    span = float(omega[-1] - omega[0])
+    if dt is None:
+        m_steps = int(math.ceil(2.0 * half_width * (span + 1.0)))
+    else:
+        m_steps = max(1, int(math.ceil(2.0 * half_width / dt)))
+    dt = 2.0 * half_width / m_steps
+    x = -half_width + (np.arange(m_steps) + 0.5) * dt
+    inner_products = dt * (translate_values(gen.hat, x, ps).conj().T @ time_values(f_hat, x))
+    return float(np.vdot(inner_products, inner_products).real)
+
+
+def expansion_tail_profile(gen, ps: PointSet, alphas, xs, radii) -> dict:
+    """Sup-norm tails of sum_{|lambda| > R} alpha_k g(x - lambda_k) on a window,
+    with the Cauchy-Schwarz budget ||alpha_tail|| * sqrt(sum |g(x - lambda)|^2)."""
+    xs = np.asarray(xs, dtype=float)
+    alphas = np.asarray(alphas, dtype=complex)
+    lam = ps.xs
+    if alphas.shape != lam.shape:
+        raise ValueError("one coefficient per point required")
+    g_shifted = translate_values(gen.hat, xs, ps)
+    tail_max, cs_bound = [], []
+    for r in radii:
+        mask = np.abs(lam) > r
+        if mask.any():
+            tail = g_shifted[:, mask] @ alphas[mask]
+            tail_max.append(float(np.abs(tail).max()))
+            budget = float(np.linalg.norm(alphas[mask])) * float(
+                np.sqrt((np.abs(g_shifted[:, mask]) ** 2).sum(axis=1)).max()
+            )
+            cs_bound.append(budget)
+        else:
+            tail_max.append(0.0)
+            cs_bound.append(0.0)
+    return {"radii": list(radii), "tail_max": tail_max, "cs_bound": cs_bound}

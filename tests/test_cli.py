@@ -8,6 +8,7 @@ import pytest
 from framelab.cli import RunConfig, main, parse_config, run
 from framelab.errors import ConfigError
 from framelab.pointset import PointSet
+from support import write_points_csv, write_table
 
 E_INTERVALS = [[-0.5, 0.5]]
 
@@ -21,7 +22,7 @@ def write_points(path, xs, pad=0.5):
     xs = np.asarray(xs, dtype=float)
     spacing = float(np.diff(np.sort(xs)).min()) if xs.size > 1 else 1.0
     ps = PointSet.from_1d(xs, box=(xs.min() - pad * spacing, xs.max() + pad * spacing))
-    ps.to_csv(path)
+    write_points_csv(path, ps)
     return str(path)
 
 
@@ -219,12 +220,12 @@ def test_mult_check_sweep_certifies_vanishing_multiplier(workdir):
 
 def test_mult_check_csv_multiplier_single_grid(workdir):
     from framelab.domain import Domain, SampledFunction, make_grid
-    from framelab.translates import Generator, save_generator_csv
+    from framelab.translates import Generator
 
     dom, pts = unit_setup(workdir)
     grid = make_grid(Domain([(0.0, 1.0)]), 64)
     phi = SampledFunction.from_callable(grid, lambda t: 2.0 + np.sin(2 * np.pi * t))
-    save_generator_csv(Generator(phi), workdir / "phi.csv")
+    write_table(workdir / "phi.csv", Generator(phi).table)
     out = str(workdir / "report.json")
     cfg_path = write_json(
         workdir / "cfg.json",
@@ -245,12 +246,12 @@ def test_mult_check_csv_multiplier_single_grid(workdir):
 
 def test_mult_check_csv_multiplier_rejects_sweep(workdir, capsys):
     from framelab.domain import Domain, SampledFunction, make_grid
-    from framelab.translates import Generator, save_generator_csv
+    from framelab.translates import Generator
 
     dom, pts = unit_setup(workdir)
     grid = make_grid(Domain([(0.0, 1.0)]), 128)
     phi = SampledFunction(grid, np.full(grid.size, 2.0 + 0j))
-    save_generator_csv(Generator(phi), workdir / "phi.csv")
+    write_table(workdir / "phi.csv", Generator(phi).table)
     cfg_path = write_json(
         workdir / "cfg.json",
         {
@@ -384,10 +385,9 @@ def test_mult_check_hypothesis_failure_is_exit_3(workdir, capsys):
     assert main(["--config", cfg_path]) == 3
     err = capsys.readouterr().err
     assert "hypothesis violated" in err
-    # integer frequencies are orthonormal on the unit band: a Riesz sequence
-    # that spans 3 of the 32 node dimensions
-    assert ("(measured rank 3 of n = 32 at rank_tol 1e-08, retained bounds [1, 1], "
-            "3 members, Gram extremes [1, 1])") in err
+    # three members cannot span the 32 node dimensions, so the check fails
+    # before any eigensolve
+    assert "base system is not a Riesz basis (3 members cannot span 32 nodes)" in err
 
 
 def test_tight_hypothesis_failure_names_rank_and_spread(workdir, capsys):
@@ -439,12 +439,12 @@ def test_translate_check_full_band(workdir):
 
 def test_translate_check_sweep_requires_expression(workdir, capsys):
     from framelab.domain import Domain, SampledFunction, make_grid
-    from framelab.translates import Generator, save_generator_csv
+    from framelab.translates import Generator
 
     dom = write_json(workdir / "dom.json", {"intervals": E_INTERVALS})
     pts = write_points(workdir / "pts.csv", np.arange(64) - 32.0)
     grid = make_grid(Domain([(-0.5, 0.5)]), 64)
-    save_generator_csv(Generator(SampledFunction(grid, np.ones(64))), workdir / "gen.csv")
+    write_table(workdir / "gen.csv", Generator(SampledFunction(grid, np.ones(64))).table)
     cfg_path = write_json(
         workdir / "cfg.json",
         {
@@ -464,12 +464,12 @@ def test_translate_check_sweep_requires_expression(workdir, capsys):
 
 def test_translate_check_generator_grid_mismatch(workdir, capsys):
     from framelab.domain import Domain, SampledFunction, make_grid
-    from framelab.translates import Generator, save_generator_csv
+    from framelab.translates import Generator
 
     dom = write_json(workdir / "dom.json", {"intervals": E_INTERVALS})
     pts = write_points(workdir / "pts.csv", np.arange(64) - 32.0)
     grid = make_grid(Domain([(-0.5, 0.5)]), 32)  # config asks for 64
-    save_generator_csv(Generator(SampledFunction(grid, np.ones(32))), workdir / "gen.csv")
+    write_table(workdir / "gen.csv", Generator(SampledFunction(grid, np.ones(32))).table)
     cfg_path = write_json(
         workdir / "cfg.json",
         {
@@ -508,10 +508,10 @@ def test_build_generator_writes_csv(workdir):
     assert os.path.exists(gen_csv)
 
 
-def test_build_generator_csv_matches_save_generator_csv(workdir, monkeypatch):
+def test_build_generator_csv_matches_the_generator_table(workdir, monkeypatch):
     import framelab.cli as cli
     from framelab.domain import Domain, make_grid
-    from framelab.translates import BumpSpec, build_bump_generator, save_generator_csv
+    from framelab.translates import BumpSpec, build_bump_generator
 
     written = []
     atomic_write = cli._atomic_write
@@ -532,8 +532,8 @@ def test_build_generator_csv_matches_save_generator_csv(workdir, monkeypatch):
     )
     assert main(["--config", cfg_path, "--out", str(out_dir / "report.json")]) == 0
     spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
-    save_generator_csv(build_bump_generator(spec, make_grid(spec.dilated, 320)),
-                       workdir / "reference.csv")
+    write_table(workdir / "reference.csv",
+                build_bump_generator(spec, make_grid(spec.dilated, 320)).table)
     assert str(gen_csv) in written
     assert gen_csv.read_bytes() == (workdir / "reference.csv").read_bytes()
     assert sorted(p.name for p in out_dir.iterdir()) == ["gen.csv", "report.json"]
@@ -600,7 +600,7 @@ def test_reconstruct_command(workdir):
 
 def test_reconstruct_with_target_csv_and_densify(workdir):
     from framelab.domain import Domain, SampledFunction, make_grid
-    from framelab.translates import BumpSpec, Generator, save_generator_csv
+    from framelab.translates import BumpSpec, Generator
 
     band = write_json(workdir / "band.json", {"intervals": [[-0.4, 0.4]]})
     lam = (np.arange(288) - 144) / 0.9  # critical lattice; densify will tighten it
@@ -609,7 +609,7 @@ def test_reconstruct_with_target_csv_and_densify(workdir):
     grid = make_grid(spec.dilated, 320)
     inside = spec.base_domain.contains(grid.nodes)
     target = SampledFunction(grid, np.cos(2 * np.pi * grid.nodes) * inside)
-    save_generator_csv(Generator(target, label="f"), workdir / "target.csv")
+    write_table(workdir / "target.csv", Generator(target, label="f").table)
     out = str(workdir / "report.json")
     cfg_path = write_json(
         workdir / "cfg.json",
@@ -635,13 +635,13 @@ def _target_csv(workdir, values):
     """A target spectrum file on the dilated-band grid of ``_reconstruct``;
     ``values(nodes, inside)`` gives its values."""
     from framelab.domain import Domain, SampledFunction, make_grid
-    from framelab.translates import BumpSpec, Generator, save_generator_csv
+    from framelab.translates import BumpSpec, Generator
 
     spec = BumpSpec(Domain([(-0.4, 0.4)]), 0.05)
     grid = make_grid(spec.dilated, 320)
     inside = spec.base_domain.contains(grid.nodes)
     target = SampledFunction(grid, values(grid.nodes, inside))
-    save_generator_csv(Generator(target, label="f"), workdir / "target.csv")
+    write_table(workdir / "target.csv", Generator(target, label="f").table)
     return str(workdir / "target.csv")
 
 

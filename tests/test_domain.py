@@ -26,9 +26,6 @@ def test_domain_sorts_and_validates():
     d = Domain([(2.0, 3.0), (0.0, 1.0)])
     assert d.intervals == ((0.0, 1.0), (2.0, 3.0))
     assert d.measure == 2.0
-    assert d.hull == (0.0, 3.0)
-    assert d.radius == 1.5
-    assert d.center == 1.5
 
 
 @pytest.mark.parametrize(

@@ -524,18 +524,19 @@ def _run_with_few_members(case):
     if case == "convolution":
         return convolution_closure_check(Generator(phi), Generator(phi), ps, "frame")
     checks = {"frame": check_frame_multiplication, "tight": check_tight_multiplication,
+              "riesz": check_riesz_multiplication,
               "frame_sequence": check_frame_sequence_multiplication}
     return checks[case](sys, phi)
 
 
-@pytest.mark.parametrize("case", ["frame", "tight", "frame_sequence", "converse", "translates",
-                                  "expansion", "convolution"])
+@pytest.mark.parametrize("case", ["frame", "tight", "riesz", "frame_sequence", "converse",
+                                  "translates", "expansion", "convolution"])
 def test_fewer_members_than_nodes_fail_before_any_eigensolve(monkeypatch, case):
     calls = []
     for module in (framelab.multiplication, framelab.translates):
         monkeypatch.setattr(module, "measure_bounds",
                             lambda *a, **k: calls.append(1) or measure_bounds(*a, **k))
-    with pytest.raises(HypothesisError, match="not a (tight )?frame") as info:
+    with pytest.raises(HypothesisError, match="not a ((tight )?frame|Riesz basis)") as info:
         _run_with_few_members(case)
     assert "3 members cannot span 32 nodes" in str(info.value)
     assert calls == []

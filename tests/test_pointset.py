@@ -17,9 +17,9 @@ from framelab.pointset import (
     gap_details,
     load_pointset,
     separation,
-    write_density_csv,
 )
-from support import jittered_lattice, oracle_gap_1d, oracle_window_counts_1d
+from support import (jittered_lattice, oracle_gap_1d, oracle_window_counts_1d, write_points_csv,
+                     write_table)
 
 
 def finite_sets_1d(min_size=2, max_size=40):
@@ -61,13 +61,6 @@ def test_pointset_rejects_bad_input(points, box):
         PointSet(points, box)
 
 
-def test_pointset_translated_moves_box():
-    ps = PointSet.from_1d([0.0, 1.0], box=(-0.5, 1.5))
-    shifted = ps.translated(2.0)
-    assert shifted.xs.tolist() == [2.0, 3.0]
-    assert shifted.box == ((1.5, 3.5),)
-
-
 def test_pointset_io_round_trips(tmp_path):
     ps = PointSet([[0.0, 0.5], [1.0, 1.5], [2.0, 0.25]], [(0, 2), (0, 2)])
     d = ps.to_dict()
@@ -79,7 +72,7 @@ def test_pointset_io_round_trips(tmp_path):
     assert np.array_equal(load_pointset(jpath).points, ps.points)
 
     cpath = tmp_path / "ps.csv"
-    ps.to_csv(cpath)
+    write_points_csv(cpath, ps)
     back = load_pointset(cpath, box=ps.box)
     assert np.array_equal(back.points, ps.points)
     # box defaults to the coordinate hull when absent
@@ -223,7 +216,7 @@ def test_density_report_csv(tmp_path):
     ps = PointSet.from_1d(np.arange(11, dtype=float), box=(0.0, 10.0))
     rep = beurling_density(ps, [1.0, 2.0])
     path = tmp_path / "density.csv"
-    write_density_csv(rep, path)
+    write_table(path, rep.table)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "r,nu_minus,nu_plus,d_minus,d_plus"
     assert len(rows) == 3

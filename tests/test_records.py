@@ -82,7 +82,8 @@ def test_convolution_report_keys(mode):
 
 def _reports():
     """A builder of each report class that holds an array, itself or in a
-    FrameReport, each of one system on E."""
+    FrameReport, each of one system on E, and of the DensityReport, which
+    holds a dict."""
     g = make_grid(E, 32)
     exp = exponential_system(g, matched_lattice(g))
     phi = lambda t: 2.0 + np.sin(2 * np.pi * t)
@@ -92,6 +93,8 @@ def _reports():
     bump = build_bump_generator(spec, make_grid(spec.dilated, 320))
     return {
         "FrameReport": lambda: measure_bounds(exp),
+        "DensityReport": lambda: beurling_density(
+            PointSet.from_1d(np.arange(11.0), box=(0.0, 10.0)), [1.0, 2.0]),
         "ReconstructionResult": lambda: reconstruct(exp, hat),
         "MultCheckReport": lambda: check_frame_multiplication(exp, hat),
         "MultSweepReport": lambda: refine_check(
@@ -108,10 +111,11 @@ def _reports():
 
 @pytest.mark.parametrize("kind", [
     "FrameReport", "ReconstructionResult", "MultCheckReport", "MultSweepReport",
-    "UnionReport", "UnionSweepReport", "OuterFrameReport", "ConvolutionReport",
+    "UnionReport", "UnionSweepReport", "OuterFrameReport", "ConvolutionReport", "DensityReport",
 ])
 def test_reports_compare_and_hash_by_identity(kind):
-    # a generated __eq__ would compare the arrays a report holds, and raise
+    # a generated __eq__ would compare the arrays a report holds, and raise;
+    # a generated __hash__ would hash the dict a DensityReport holds, and raise
     make = _reports()[kind]
     a, b = make(), make()
     assert type(a).__name__ == kind

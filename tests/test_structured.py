@@ -172,10 +172,6 @@ def test_dense_route_for_multi_interval_grids_and_raw_matrices(monkeypatch):
     for s in (multi, multiply_system(multi, phi), raw):
         measure_bounds(s)
     assert routes == [(two.size, False), (two.size, False), (one.size, False)]
-    # scaling and permuting build plain member matrices
-    uniform = exponential_system(one, PointSet.from_1d(lam))
-    assert uniform.scaled(2.0)._column is None
-    assert uniform.permuted(range(lam.size - 1, -1, -1))._column is None
 
 
 def test_frame_sequence_check_takes_only_the_structured_routes(monkeypatch):
