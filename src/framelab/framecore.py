@@ -53,12 +53,15 @@ of the O(nK) product U (U^H p), applied as phi * T(conj(phi) p), one
 batched FFT pair for the whole block.  Every other system stays dense, one
 U (U^H p) per row.  Each row keeps its own step sizes, best iterate and
 iteration count, and leaves the block when it converges or trips the
-null-space guard.  A row's result does not depend on the batch width, bit
-for bit: every reduction is ``_rowdot``, a sum along the contiguous last
-axis, and every U product (span pre-check, coefficients, an expansion's
-synthesis) stays one matrix-vector product per target, because the columns
-of a matrix-matrix product can differ from matrix-vector products in the
-last bits.
+null-space guard.  The span pre-check is screened by one batched S b,
+which is also the first step's product: <b, S b> = ||U^H b||^2 carries an
+error of about eps ||S|| ||b||^2, so a row that clears 1e-6 of the scale is
+seen, and only the others take the exact 1e-12 test on U^H b.  A row's
+result does not depend on the batch width, bit for bit: every reduction is
+``_rowdot``, a sum along the contiguous last axis, and every U product
+(the exact pre-check, the coefficients, an expansion's synthesis) stays one
+product per target, because the columns of a matrix-matrix product can
+differ from matrix-vector products in the last bits.
 
 The member matrix U of an exponential system, and of a product with a
 multiplier, is deferred: it is formed on first access to ``matrix`` and
@@ -81,8 +84,17 @@ exps in O(sqrt(m) K) memory.  V takes u_k = e^{2 pi i (m - 1) x_k}, x_k
 the step h lambda_k halved and reduced mod 1 (``np.fmod``), both exactly, so
 that (m - 1) h lambda_k / 2 is never rounded as a whole: u_k agrees with the
 powers of z_k to (m - 1) eps / 2 cycles, whatever lambda_k, and V^H V stays
-real.  Reconstruction, analysis, synthesis, the Gram spectrum and the
-stacked union system read U, formed once per system; the time kernel of a
+real.  A structured system applies U^H and U from the running powers U
+is broadcast from (``_powers``, start phase u_k = e^{-2 pi i t_0 lambda_k}
+and a product's multiplier phi on the rows), never forming U: U^H v pads
+conj(phi) v to ceil(n/B) x B, multiplies by conj(fine), then by conj(coarse)
+and sums over q, and U c is the first n entries of (coarse * c) fine^T times
+phi, each O(nK) and differing from the formed U's product only in summation
+order (``_analysis``, ``_synthesis``).  So reconstruction, analysis and
+synthesis of such a system read no U, and its guards' scale ||W||_F^2 = tr
+S = c_0 sum |phi_j|^2 comes from the column.  A complex Gram spectrum, the
+CG failure test and the stacked union system read U, formed once per
+system, as does every product of a dense system; the time kernel of a
 translate system is the conjugate transpose of ``_exponential_matrix``
 along the time points.
 
@@ -176,7 +188,7 @@ class SynthesisSystem:
     _column = None
     _multiplier = None
 
-    def __init__(self, grid: Grid, matrix: np.ndarray, labels=None):
+    def __init__(self, grid: Grid, matrix: np.ndarray):
         mat = np.ascontiguousarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != grid.size:
             raise ValueError(f"member matrix must be ({grid.size}, K)")
@@ -184,13 +196,7 @@ class SynthesisSystem:
             raise ValueError("system needs at least one member")
         self.grid = grid
         self.matrix = mat
-        if labels is None:
-            labels = tuple(range(mat.shape[1]))
-        else:
-            labels = tuple(labels)
-            if len(labels) != mat.shape[1]:
-                raise ValueError("one label per member required")
-        self.labels = labels
+        self.labels = tuple(range(mat.shape[1]))
 
     @classmethod
     def _deferred(cls, grid: Grid, labels, build) -> "SynthesisSystem":
@@ -226,9 +232,22 @@ class SynthesisSystem:
 
     @cached_property
     def _scale(self) -> float:
-        """The relative guards' scale: the Frobenius norm of ``weighted``, from ``matrix``."""
+        """The relative guards' scale: the Frobenius norm of ``weighted``.  A
+        structured system takes its square, tr S = c_0 sum |phi_j|^2, from the
+        Toeplitz column; every other system from ``matrix``."""
+        if self._column is not None:
+            phi = self._multiplier
+            return math.sqrt(self._column[0].real * float(np.vdot(phi, phi).real))
         parts = self.matrix.view(float)
         return math.sqrt(float(self.grid.weights @ np.einsum("ij,ij->i", parts, parts)))
+
+    @cached_property
+    def _powers(self):
+        """(coarse, fine): the ``_factors`` powers, start phase exp(-2 pi i t_0
+        lambda_k), that a structured system's bare U is broadcast from; formed
+        on first use, or taken over from the bare system by ``multiplied``."""
+        g, lam = self.grid, np.asarray(self.labels, dtype=float)
+        return _factors(_cis(g.nodes[0] * lam), g.steps[0], lam, g.size)
 
     @cached_property
     def _circulant(self) -> np.ndarray:
@@ -244,6 +263,8 @@ class SynthesisSystem:
         if self._column is not None:
             out._column = self._column
             out._multiplier = self._multiplier * phi
+            if "_powers" in vars(self):
+                out._powers = self._powers
         return out
 
 
@@ -481,11 +502,34 @@ def _apply_frame_operator(sys: SynthesisSystem, p: np.ndarray) -> np.ndarray:
     return phi * q
 
 
+def _analysis(sys: SynthesisSystem, v: np.ndarray) -> np.ndarray:
+    """U^H v.  A structured system never forms U: with U[q B + r, k] = phi_j
+    coarse[q, k] fine[r, k] (``_powers``), conj(U^H v) = U^T conj(v) is
+    phi conj(v), zero-padded to ceil(n/B) x B, times fine, then times coarse
+    and summed over q.  Every other system takes ``_adjoint`` of its U."""
+    if sys._column is None:
+        return _adjoint(sys.matrix, v)
+    coarse, fine = sys._powers
+    z = np.zeros(coarse.shape[0] * fine.shape[0], dtype=complex)
+    z[:v.size] = sys._multiplier * v.conj()
+    return np.sum(coarse * (z.reshape(-1, fine.shape[0]) @ fine), axis=0).conj()
+
+
+def _synthesis(sys: SynthesisSystem, c: np.ndarray) -> np.ndarray:
+    """U c.  A structured system never forms U: the first n entries of the
+    row-major (coarse * c) fine^T, times phi.  Every other system takes the
+    product with its U."""
+    if sys._column is None:
+        return sys.matrix @ c
+    coarse, fine = sys._powers
+    return sys._multiplier * ((coarse * c) @ fine.T).ravel()[:sys.grid.size]
+
+
 def analyze(sys: SynthesisSystem, f: SampledFunction) -> np.ndarray:
     """Analysis coefficients <f, psi_k> for every member."""
     if not f.grid.matches(sys.grid):
         raise GridMismatchError("function and system live on different grids")
-    return _adjoint(sys.matrix, sys.grid.weights * f.values)
+    return _analysis(sys, sys.grid.weights * f.values)
 
 
 def synthesize(sys: SynthesisSystem, coeffs) -> SampledFunction:
@@ -493,7 +537,7 @@ def synthesize(sys: SynthesisSystem, coeffs) -> SampledFunction:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (sys.size,):
         raise ValueError(f"expected {sys.size} coefficients")
-    return SampledFunction(sys.grid, sys.matrix @ coeffs)
+    return SampledFunction(sys.grid, _synthesis(sys, coeffs))
 
 
 def frame_operator_apply(sys: SynthesisSystem, f: SampledFunction) -> SampledFunction:
@@ -663,8 +707,9 @@ def reconstruct_all(sys: SynthesisSystem, fs, tol: float = RECON_TOL,
     Each step applies S to every live row at once (``_apply_frame_operator``)
     and keeps each row's own step sizes, best iterate and iteration count; a
     row leaves the block when it converges or trips the null-space guard.
-    Every reduction is ``_rowdot``, and every U product (the span pre-check
-    and the coefficients) is one matrix-vector product per target, so each
+    The span pre-check's screen S b is the first step's product.  Every
+    reduction is ``_rowdot``, and every U^H product (the exact pre-check and
+    the coefficients, ``_analysis``) is one product per target, so each
     result equals the single call bit for bit, whatever the batch.  When
     targets fail, the first failing one's error is raised, as its single
     call raises it.
@@ -676,25 +721,31 @@ def reconstruct_all(sys: SynthesisSystem, fs, tol: float = RECON_TOL,
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     # the weights go on vectors, so a structured system never forms ``weighted``
-    U = sys.matrix
     sw = np.sqrt(sys.grid.weights)
     b = sw * np.array([f.values for f in fs], dtype=complex).reshape(-1, sw.size)
     b_norm = np.sqrt(_rowdot(b, b))
 
-    # the span pre-check, one product per target: a target the members cannot
-    # see at all fails before the loop
+    # the span pre-check: a target the members cannot see at all fails before
+    # the loop.  One batched S b screens the targets (see the module notes),
+    # and a row it does not see takes the exact test, one U^H product per
+    # target; S b is the first CG step's product
     u_scale = sys._scale
     invisible = b_norm > 0.0
+    live = np.flatnonzero(invisible)
+    q = _apply_frame_operator(sys, b[live]) if live.size else b[live]
     if u_scale != 0.0:
-        for i in np.flatnonzero(invisible):
-            a = _adjoint(U, sw * b[i])
+        seen = _rowdot(b[live], q) > (1e-6 * u_scale * b_norm[live]) ** 2
+        invisible[live[seen]] = False
+        for i in live[~seen]:
+            a = _analysis(sys, sw * b[i])
             invisible[i] = math.sqrt(_rowdot(a, a)) <= 1e-12 * u_scale * b_norm[i]
 
-    solved = np.flatnonzero((b_norm > 0.0) & ~invisible)
+    keep = ~invisible[live]
+    solved = live = live[keep]
+    q = q[keep]
     best_x = np.zeros_like(b)
     best_rel = np.full(b_norm.size, math.inf)
     iterations = np.zeros(b_norm.size, dtype=int)
-    live = solved
     r = b[live]
     x = np.zeros_like(r)
     p = r.copy()
@@ -706,7 +757,8 @@ def reconstruct_all(sys: SynthesisSystem, fs, tol: float = RECON_TOL,
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        q = _apply_frame_operator(sys, p)
+        if it > 1:
+            q = _apply_frame_operator(sys, p)
         den = _rowdot(p, q)
         stop = den <= null_scale * _rowdot(p, p)
         if stop.any():
@@ -757,6 +809,6 @@ def reconstruct_all(sys: SynthesisSystem, fs, tol: float = RECON_TOL,
         )
     results = []
     for i in range(b_norm.size):
-        coeffs = _adjoint(U, sw * best_x[i]) if b_norm[i] else np.zeros(sys.size, dtype=complex)
+        coeffs = _analysis(sys, sw * best_x[i]) if b_norm[i] else np.zeros(sys.size, dtype=complex)
         results.append(ReconstructionResult(coeffs, float(residual[i]), int(iterations[i])))
     return results

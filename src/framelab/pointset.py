@@ -98,16 +98,10 @@ class PointSet:
             raise ValueError("xs is only defined for 1-D point sets")
         return self.points[:, 0]
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "box": [[l, u] for l, u in self.box],
-            "points": self.points.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, d) -> "PointSet":
-        """Inverse of ``to_dict``; a ``dim``, when present, must match the points."""
+        """The point set of a {"dim", "box", "points"} dict, as a JSON point-set
+        file holds it; a ``dim``, when present, must match the points."""
         ps = cls(d["points"], d["box"])
         dim = d.get("dim", ps.dim)
         if isinstance(dim, bool) or dim != ps.dim:

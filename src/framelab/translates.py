@@ -29,6 +29,7 @@ from .framecore import (
     exponential_system,
     measure_bounds,
     reconstruct_all,
+    synthesize,
 )
 from .multiplication import (
     DEFAULT_LEVELS,
@@ -356,7 +357,7 @@ def _expand(f_hats, gen, ps, band, tol, max_iter, rank_tol) -> list:
         alphas = rec.coeffs
 
         f_norm = f_hat.norm()
-        s_vals = exp.matrix @ alphas
+        s_vals = synthesize(exp, alphas).values
         vanish = math.sqrt(
             float(np.sum(grid.weights[~inside] * np.abs(s_vals[~inside]) ** 2))
         ) / f_norm

@@ -53,6 +53,12 @@ def write_table(path, table: Table) -> None:
         write_csv(fh, table)
 
 
+def points_dict(ps: PointSet) -> dict:
+    """The {"dim", "box", "points"} dict of a JSON point-set file, which
+    ``PointSet.from_dict`` reads back."""
+    return {"dim": ps.dim, "box": [[l, u] for l, u in ps.box], "points": ps.points.tolist()}
+
+
 def write_points_csv(path, ps: PointSet) -> None:
     """One point a row, each coordinate by its shortest repr."""
     with open(path, "w", encoding="utf-8") as fh:

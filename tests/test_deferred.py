@@ -179,8 +179,6 @@ def test_deferred_system_keeps_the_member_checks():
     grid = make_grid(Domain([(0.0, 1.0)]), 16)
     with pytest.raises(ValueError, match="at least one member"):
         SynthesisSystem._deferred(grid, [], lambda: eager(grid, []))
-    with pytest.raises(ValueError, match="one label per member"):
-        SynthesisSystem(grid, eager(grid, [0.0, 1.0]), labels=[0.0])
 
 
 def test_frame_check_past_the_gram_budget_forms_no_matrix(monkeypatch):
@@ -254,7 +252,7 @@ def test_checks_match_a_system_built_from_the_forced_matrix(seed):
 
     # Gram path: K <= 1024, so both read the same weighted matrix
     sys = exponential_system(grid, jittered_lattice(120, seed))
-    dense = SynthesisSystem(grid, sys.matrix, sys.labels)
+    dense = SynthesisSystem(grid, sys.matrix)
     lazy_rep, dense_rep = measure_bounds(sys), measure_bounds(dense)
     assert_same_bounds(lazy_rep, dense_rep)
     assert lazy_rep.spectra_cross_checked and dense_rep.spectra_cross_checked
@@ -274,7 +272,7 @@ def test_checks_match_a_system_built_from_the_forced_matrix(seed):
     # theirs agree to rounding
     riesz = exponential_system(grid, jittered_lattice(grid.size, seed))
     lazy_r = check_riesz_multiplication(riesz, phi)
-    dense_r = check_riesz_multiplication(SynthesisSystem(grid, riesz.matrix, riesz.labels), phi)
+    dense_r = check_riesz_multiplication(SynthesisSystem(grid, riesz.matrix), phi)
     assert lazy_r.details["gram_extremes"] == dense_r.details["gram_extremes"]
     assert lazy_r.base_report.gram_extremes == pytest.approx(
         dense_r.base_report.gram_extremes, rel=1e-12

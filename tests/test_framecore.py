@@ -52,8 +52,6 @@ def test_system_validation():
         SynthesisSystem(g, np.zeros((g.size + 1, 2), dtype=complex))
     with pytest.raises(ValueError):
         SynthesisSystem(g, np.zeros((g.size, 0), dtype=complex))
-    with pytest.raises(ValueError):
-        SynthesisSystem(g, np.zeros((g.size, 2), dtype=complex), labels=[1])
 
 
 def test_exponential_system_labels_and_values():

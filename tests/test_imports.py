@@ -54,7 +54,6 @@ def test_no_dead_imports(module):
 # paper API, each with the reason it stays.
 PAPER_API = {
     "analyze": "the analysis operator f -> (<f, psi_k>)_k",
-    "synthesize": "the synthesis operator c -> sum_k c_k psi_k",
     "gram": "the Gram operator (<psi_k, psi_j>)_jk",
     "frame_operator_apply": "the frame operator S f = sum_k <f, psi_k> psi_k",
     "indicator": "chi_E, the multiplier that makes a frame sequence of a frame",

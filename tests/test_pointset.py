@@ -18,8 +18,8 @@ from framelab.pointset import (
     load_pointset,
     separation,
 )
-from support import (jittered_lattice, oracle_gap_1d, oracle_window_counts_1d, write_points_csv,
-                     write_table)
+from support import (jittered_lattice, oracle_gap_1d, oracle_window_counts_1d, points_dict,
+                     write_points_csv, write_table)
 
 
 def finite_sets_1d(min_size=2, max_size=40):
@@ -63,7 +63,7 @@ def test_pointset_rejects_bad_input(points, box):
 
 def test_pointset_io_round_trips(tmp_path):
     ps = PointSet([[0.0, 0.5], [1.0, 1.5], [2.0, 0.25]], [(0, 2), (0, 2)])
-    d = ps.to_dict()
+    d = points_dict(ps)
     back = PointSet.from_dict(d)
     assert np.array_equal(back.points, ps.points) and back.box == ps.box
 

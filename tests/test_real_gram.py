@@ -77,7 +77,7 @@ def test_real_gram_matches_complex_gram(seed, n_per_unit, wide, case):
     assert np.abs(eigs - reference).max() <= 1e-12 * max(reference[-1], 1e-300)
 
     rep = measure_bounds(sys)
-    raw = measure_bounds(SynthesisSystem(sys.grid, sys.matrix, sys.labels))
+    raw = measure_bounds(SynthesisSystem(sys.grid, sys.matrix))
     n, k = sys.grid.size, sys.size
     if k > n:
         assert rep.gram_extremes is None and raw.gram_extremes is None
@@ -106,7 +106,7 @@ def test_only_structured_systems_with_an_even_modulus_take_the_real_gram():
         == np.complex128
     union = make_grid(Domain([(0.0, 0.4), (0.6, 1.0)]), 64)
     assert route(exponential_system(union, jittered_lattice(40, 3))) == np.complex128
-    assert route(SynthesisSystem(grid, sys.matrix, sys.labels)) == np.complex128
+    assert route(SynthesisSystem(grid, sys.matrix)) == np.complex128
 
 
 def test_one_modulus_rule_routes_s_and_g(monkeypatch):
