@@ -304,11 +304,6 @@ class ExprMultiplier:
     source: str
     ast: object
 
-    @classmethod
-    def parse(cls, src: str) -> "ExprMultiplier":
-        ast = parse_expr(src)
-        return cls(source=print_expr(ast), ast=ast)
-
     def __call__(self, t) -> np.ndarray:
         """The profile at ``t``; a value that overflows or is undefined
         (inf or NaN) is an ExprError naming the first ``t`` that gives one."""
@@ -328,4 +323,5 @@ class ExprMultiplier:
 
 def parse_multiplier(src: str) -> ExprMultiplier:
     """Parse profile source text; errors carry byte offsets."""
-    return ExprMultiplier.parse(src)
+    ast = parse_expr(src)
+    return ExprMultiplier(source=print_expr(ast), ast=ast)

@@ -245,7 +245,7 @@ class SynthesisSystem:
     def _powers(self):
         """(coarse, fine): the ``_factors`` powers, start phase exp(-2 pi i t_0
         lambda_k), that a structured system's bare U is broadcast from; formed
-        on first use, or taken over from the bare system by ``multiplied``."""
+        on first use."""
         g, lam = self.grid, np.asarray(self.labels, dtype=float)
         return _factors(_cis(g.nodes[0] * lam), g.steps[0], lam, g.size)
 
@@ -263,8 +263,6 @@ class SynthesisSystem:
         if self._column is not None:
             out._column = self._column
             out._multiplier = self._multiplier * phi
-            if "_powers" in vars(self):
-                out._powers = self._powers
         return out
 
 
@@ -487,15 +485,13 @@ def _adjoint(U: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _apply_frame_operator(sys: SynthesisSystem, p: np.ndarray) -> np.ndarray:
-    """S p for S = U U^H, of a vector p or of each row of a block p, by the
-    route ``_frame_operator`` takes: a 2n circulant FFT of the Toeplitz
+    """S p for S = U U^H, of each row of a block p, by the route
+    ``_frame_operator`` takes: a 2n circulant FFT of the Toeplitz
     column, one pair for the whole block, or U (U^H p), one matrix-vector
     pair per row (see the module notes)."""
     if sys._column is None:
         U = sys.weighted
-        if p.ndim == 2:
-            return np.array([U @ _adjoint(U, row) for row in p])
-        return U @ _adjoint(U, p)
+        return np.array([U @ _adjoint(U, row) for row in p])
     n = p.shape[-1]
     phi = sys._multiplier
     q = np.fft.ifft(sys._circulant * np.fft.fft(phi.conj() * p, 2 * n))[..., :n]
@@ -545,7 +541,8 @@ def frame_operator_apply(sys: SynthesisSystem, f: SampledFunction) -> SampledFun
     if not f.grid.matches(sys.grid):
         raise GridMismatchError("function and system live on different grids")
     w_sqrt = np.sqrt(sys.grid.weights)
-    return SampledFunction(sys.grid, _apply_frame_operator(sys, w_sqrt * f.values) / w_sqrt)
+    sf = _apply_frame_operator(sys, (w_sqrt * f.values)[None])[0]
+    return SampledFunction(sys.grid, sf / w_sqrt)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ __all__ = [
     "check_frame_sequence_multiplication",
     "refine_check",
     "require_members",
+    "require_frame",
     "ZERO_TOL",
     "ENVELOPE_SLACK",
     "STABILITY",
@@ -404,6 +405,17 @@ def require_members(sys: SynthesisSystem, violation: str) -> None:
     if sys.size < sys.grid.size:
         raise HypothesisError(f"hypothesis violated: {violation} ({sys.size} members "
                               f"cannot span {sys.grid.size} nodes)")
+
+
+def require_frame(sys: SynthesisSystem, violation: str, rank_tol: float) -> FrameReport:
+    """The measured bounds of ``sys`` under a frame-of-the-whole-space
+    hypothesis: too few members fail before the eigensolve, a measured
+    non-frame after it, each as a ``HypothesisError`` stating ``violation``."""
+    require_members(sys, violation)
+    report = measure_bounds(sys, rank_tol)
+    if not report.flags.frame_for_whole_space:
+        raise HypothesisError(f"hypothesis violated: {violation} ({_measured(report)})")
+    return report
 
 
 _NOT_A_FRAME = "base system is not a frame of the whole space"

@@ -71,7 +71,7 @@ class PointSet:
             if pts.shape[1] == 1:
                 if np.any(np.diff(pts[:, 0]) <= 0):
                     raise ValueError("points must be pairwise distinct")
-            elif _min_pairwise_distance(pts) <= 0:
+            elif _separation(pts) <= 0:
                 raise ValueError("points must be pairwise distinct")
         self.points = pts
         self.box = box
@@ -138,27 +138,13 @@ def load_pointset(path, box=None) -> PointSet:
         return PointSet.from_csv(path, box=box)
 
 
-def _min_pairwise_distance(pts: np.ndarray) -> float:
-    n = pts.shape[0]
-    best = math.inf
-    # chunked O(n^2) scan; fine at workbench scale
-    chunk = max(1, int(2e6 // max(n, 1)))
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]
-        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=-1)
-        for i in range(block.shape[0]):
-            d[i, start + i] = math.inf
-        best = min(best, float(d.min()))
-    return best
-
-
 def separation(ps: PointSet) -> float:
     """Smallest pairwise distance.  Errors on fewer than two points."""
     if ps.size < 2:
         raise FrameLabError("separation undefined for fewer than two points")
     if ps.dim == 1:
         return float(np.diff(ps.xs).min())
-    return _min_pairwise_distance(ps.points)
+    return _separation(ps.points)
 
 
 def _gap_1d(ps: PointSet) -> float:
@@ -170,35 +156,41 @@ def _gap_1d(ps: PointSet) -> float:
     return max(candidates)
 
 
-def _scan_lattice(ps: PointSet, spacing: float):
-    axes = []
-    for (l, u) in ps.box:
-        if u - l <= 0:
-            axes.append(np.array([l]))
-            continue
-        m = int(math.floor((u - l) / spacing)) + 1
-        ax = l + spacing * np.arange(m)
-        if ax[-1] < u - 1e-12:
-            ax = np.append(ax, u)
-        axes.append(ax)
-    total = math.prod(a.size for a in axes)
+def _lattice(sides, spacing: float) -> np.ndarray:
+    """The scan sites of a box, one row each: l + k spacing along each side
+    (l, u) up to u, then u itself when the last site falls short of it by more
+    than 1e-12, so a side of no length is its one point.  A lattice of more
+    than ``_SCAN_GUARD`` sites is refused before any side is formed."""
+    axes, total = [], 1
+    for l, u in sides:
+        m = math.floor((u - l) / spacing) + 1
+        tail = l + spacing * (m - 1) < u - 1e-12
+        axes.append((l, u, m, tail))
+        total *= m + tail
     if total > _SCAN_GUARD:
-        raise FrameLabError(
-            f"scan lattice of {total} sites exceeds the guard ({_SCAN_GUARD}); "
-            "use a coarser resolution or a smaller box"
-        )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+        raise FrameLabError(f"scan lattice of {total} sites exceeds the guard ({_SCAN_GUARD}); "
+                            "use a coarser resolution or a smaller box")
+    mesh = np.meshgrid(*(np.append(l + spacing * np.arange(m), [u] if tail else [])
+                         for l, u, m, tail in axes), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _max_min_distance(sites: np.ndarray, pts: np.ndarray) -> float:
-    best = 0.0
-    chunk = max(1, int(2e6 // max(pts.shape[0], 1)))
-    for start in range(0, sites.shape[0], chunk):
-        block = sites[start : start + chunk]
-        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=-1)
-        best = max(best, float(d.min(axis=1).max()))
-    return best
+def _differences(sites: np.ndarray, pts: np.ndarray):
+    """sites - pts for every pair, in blocks of at most 2e6 pairs (rows of
+    sites), each written over the last: a caller reduces a block before it
+    asks for the next."""
+    rows = max(1, int(2e6 // pts.shape[0]))
+    out = np.empty((min(rows, sites.shape[0]),) + pts.shape)
+    for start in range(0, sites.shape[0], rows):
+        block = sites[start:start + rows]
+        yield np.subtract(block[:, None, :], pts, out=out[:block.shape[0]])
+
+
+def _separation(pts: np.ndarray) -> float:
+    """Smallest pairwise distance of two or more points: each row's second
+    smallest distance, its own point's being the smallest at 0."""
+    return min(float(np.partition(np.linalg.norm(d, axis=-1), 1, axis=1)[:, 1].min())
+               for d in _differences(pts, pts))
 
 
 def gap(ps: PointSet) -> float:
@@ -215,17 +207,11 @@ def gap_details(ps: PointSet) -> dict:
     """Gap value plus how it was obtained ({value, exact, scan_spacing})."""
     if ps.dim == 1:
         return {"value": _gap_1d(ps), "exact": True, "scan_spacing": None}
-    if ps.size >= 2:
-        spacing = separation(ps) / 4.0
-    else:
-        spacing = max(u - l for l, u in ps.box) / 64.0
+    spacing = separation(ps) / 4.0 if ps.size >= 2 else max(u - l for l, u in ps.box) / 64.0
     spacing = max(spacing, 1e-12)
-    sites = _scan_lattice(ps, spacing)
-    return {
-        "value": _max_min_distance(sites, ps.points),
-        "exact": False,
-        "scan_spacing": spacing,
-    }
+    value = max(float(np.linalg.norm(d, axis=-1).min(axis=1).max())
+                for d in _differences(_lattice(ps.box, spacing), ps.points))
+    return {"value": value, "exact": False, "scan_spacing": spacing}
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,33 +268,14 @@ def _window_counts_1d(xs: np.ndarray, box, r: float) -> tuple[int, int]:
 
 
 def _window_counts_nd(pts: np.ndarray, box, r: float, spacing: float) -> tuple[int, int]:
-    inner_box = [(l + r, u - r) for l, u in box]
-    axes = []
-    for (l, u) in inner_box:
-        if u - l < spacing:
-            axes.append(np.array([(l + u) / 2.0]))
-        else:
-            m = int(math.floor((u - l) / spacing)) + 1
-            ax = l + spacing * np.arange(m)
-            if ax[-1] < u - 1e-12:
-                ax = np.append(ax, u)
-            axes.append(ax)
-    total = math.prod(a.size for a in axes)
-    if total > _SCAN_GUARD:
-        raise FrameLabError(
-            f"window scan of {total} centers exceeds the guard ({_SCAN_GUARD})"
-        )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    nu_min, nu_max = np.inf, -np.inf
-    chunk = max(1, int(2e6 // max(pts.shape[0], 1)))
-    for start in range(0, centers.shape[0], chunk):
-        block = centers[start : start + chunk]
-        inside = np.all(np.abs(pts[None, :, :] - block[:, None, :]) <= r, axis=-1)
-        counts = inside.sum(axis=1)
-        nu_min = min(nu_min, int(counts.min()))
-        nu_max = max(nu_max, int(counts.max()))
-    return int(nu_min), int(nu_max)
+    # window centres y with y + [-r, r]^d inside the box; an inner side
+    # shorter than the spacing is scanned at its midpoint only
+    inner = [(l + r, u - r) for l, u in box]
+    inner = [(l, u) if u - l >= spacing else ((l + u) / 2.0,) * 2 for l, u in inner]
+    counts = (np.all(np.abs(d, out=d) <= r, axis=-1).sum(axis=1)
+              for d in _differences(_lattice(inner, spacing), pts))
+    lows, highs = zip(*((int(c.min()), int(c.max())) for c in counts))
+    return min(lows), max(highs)
 
 
 def beurling_density(ps: PointSet, r_values) -> DensityReport:

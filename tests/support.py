@@ -5,6 +5,7 @@ singular values instead of eigendecompositions, dense least squares instead
 of conjugate gradients, sliding-window scans instead of event enumeration.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -145,6 +146,45 @@ def oracle_window_counts_1d(ps: PointSet, r: float, n_centers: int = 20001):
     left = np.searchsorted(pts, centers - r, side="left")
     right = np.searchsorted(pts, centers + r, side="right")
     counts = right - left
+    return int(counts.min()), int(counts.max())
+
+
+def oracle_separation(ps: PointSet) -> float:
+    """Smallest distance over every pair of points."""
+    pts = ps.points.tolist()
+    return min(math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+
+
+def oracle_scan_axis(lo: float, hi: float, spacing: float) -> list:
+    """Scan sites along one side: lo + k spacing for k up to floor((hi - lo) /
+    spacing), then hi itself when the last site falls short of it by more than
+    1e-12."""
+    axis = []
+    for k in range(math.floor((hi - lo) / spacing) + 1):
+        axis.append(lo + k * spacing)
+    if axis[-1] < hi - 1e-12:
+        axis.append(hi)
+    return axis
+
+
+def oracle_gap_nd(ps: PointSet, spacing: float) -> float:
+    """The largest nearest-point distance over every site of the scan lattice
+    of the box at ``spacing``."""
+    sites = itertools.product(*(oracle_scan_axis(l, u, spacing) for l, u in ps.box))
+    pts = ps.points.tolist()
+    return max(min(math.dist(s, p) for p in pts) for s in sites)
+
+
+def oracle_window_counts_nd(ps: PointSet, r: float, spacing: float):
+    """min/max closed-window counts over every scan centre: the lattice of the
+    inner box [l + r, u - r] at ``spacing``, one midpoint along a side shorter
+    than ``spacing``."""
+    axes = []
+    for l, u in ps.box:
+        lo, hi = l + r, u - r
+        axes.append([(lo + hi) / 2.0] if hi - lo < spacing else oracle_scan_axis(lo, hi, spacing))
+    centres = np.array(list(itertools.product(*axes)))
+    counts = np.all(np.abs(ps.points[None, :, :] - centres[:, None, :]) <= r, axis=-1).sum(axis=1)
     return int(counts.min()), int(counts.max())
 
 

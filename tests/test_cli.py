@@ -760,17 +760,19 @@ def test_reconstruct_with_delta_too_narrow_for_the_grid_is_exit_2(workdir, capsy
 
 
 def test_reconstruct_job_builds_one_system_for_all_targets(workdir, monkeypatch):
+    import framelab.multiplication as multiplication
     import framelab.translates as translates
     from framelab.domain import Domain, SampledFunction, make_grid
     from framelab.pointset import load_pointset
     from framelab.translates import BumpSpec, build_bump_generator, oversampled_expansion
 
     calls = {"exponential_system": 0, "measure_bounds": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(translates, name), _name=name, **kwargs):
+    # the expansion measures its system inside multiplication.require_frame
+    for module, name in ((translates, "exponential_system"), (multiplication, "measure_bounds")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(translates, name, counted)
+        monkeypatch.setattr(module, name, counted)
     band = write_json(workdir / "band.json", {"intervals": [[-0.4, 0.4]]})
     pts = half_integer_points(workdir)
     out = str(workdir / "report.json")

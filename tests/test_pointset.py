@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from framelab.pointset import (
     load_pointset,
     separation,
 )
-from support import (jittered_lattice, oracle_gap_1d, oracle_window_counts_1d, points_dict,
+from support import (jittered_lattice, oracle_gap_1d, oracle_gap_nd, oracle_separation,
+                     oracle_window_counts_1d, oracle_window_counts_nd, points_dict,
                      write_points_csv, write_table)
 
 
@@ -33,6 +35,33 @@ def finite_sets_1d(min_size=2, max_size=40):
         .map(sorted)
         .filter(lambda xs: min(np.diff(xs)) > 1e-6 if len(xs) > 1 else True)
     )
+
+
+def boxed_set_nd(seed):
+    """A 2-D or 3-D point set and its window radii.  Each box side is drawn
+    zero-width, thin (shorter than any scan spacing here), within rounding of
+    one common length, or up to 1.4 times it; points keep 0.3 apart where the
+    box leaves room.  Radii come only when every side is at least 1, and in
+    3-D only at 0.4 to 0.5 of the shortest side, so the scans stay small."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    base = rng.uniform(1.0, 2.0)
+    sides = np.array([
+        {"zero": 0.0, "thin": rng.uniform(1e-3, 0.05), "wide": base * rng.uniform(1.0, 1.4),
+         "square": base * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 1e-9, 1e-3]))}[kind]
+        for kind in rng.choice(["zero", "thin", "square", "wide"], dim)
+    ])
+    lo = rng.uniform(-3.0, 3.0, dim)
+    pts = []
+    for _ in range(int(rng.integers(1, 7))):
+        p = lo + rng.uniform(0.0, 1.0, dim) * sides
+        if all(np.linalg.norm(p - q) >= 0.3 for q in pts):
+            pts.append(p)
+    ps = PointSet(pts, list(zip(lo, lo + sides)))
+    if sides.min() < 1.0:
+        return ps, []
+    low = 0.1 if dim == 2 else 0.4
+    return ps, sorted(rng.uniform(low, 0.5, int(rng.integers(1, 3))) * sides.min())
 
 
 # --- PointSet ----------------------------------------------------------------
@@ -147,6 +176,53 @@ def test_gap_2d_scan_on_integer_lattice():
     det = gap_details(ps)
     assert det["exact"] is False
     assert det["value"] == pytest.approx(math.sqrt(2) / 2, rel=0.05)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_scans_in_2d_and_3d_match_brute_force(seed):
+    ps, radii = boxed_set_nd(seed)
+    if ps.size >= 2:
+        sep = separation(ps)
+        assert sep == pytest.approx(oracle_separation(ps), rel=1e-12)
+        spacing = sep / 4.0
+    else:
+        spacing = max(max(u - l for l, u in ps.box) / 64.0, 1e-12)
+    det = gap_details(ps)
+    assert det["exact"] is False and det["scan_spacing"] == spacing
+    assert det["value"] == pytest.approx(oracle_gap_nd(ps, spacing), rel=1e-12)
+    if not radii:
+        return
+    min_side = min(u - l for l, u in ps.box)
+    rep = beurling_density(ps, radii)
+    spacing = min(radii[0] / 8.0, min_side / 64.0)
+    if ps.size >= 2:
+        spacing = min(spacing, sep / 4.0)
+    assert rep.scan_spacing == spacing
+    for r, lo, hi in zip(radii, rep.nu_minus, rep.nu_plus):
+        assert (lo, hi) == oracle_window_counts_nd(ps, r, spacing)
+    # the largest admissible radius shrinks the shortest inner side to its
+    # midpoint, and every side within rounding of it too
+    r_star = min_side / 2.0
+    lo, hi = oracle_window_counts_nd(ps, r_star, spacing)
+    vol = (2.0 * r_star) ** ps.dim
+    assert rep.extrapolated == {"r": r_star, "d_minus": lo / vol, "d_plus": hi / vol}
+
+
+def test_scan_guard_refuses_before_forming_a_side():
+    # two points 1e-5 apart in a 10 x 10 box: the gap scan's spacing 2.5e-6,
+    # and a window of radius 1e-5 spacing 1.25e-6, put millions of sites on
+    # each side; both scans are refused by one guard before a side is formed
+    ps = PointSet([[0.0, 0.0], [1e-5, 0.0]], [(0, 10), (0, 10)])
+    for scan in (lambda: gap_details(ps), lambda: beurling_density(ps, [1e-5])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameLabError, match=r"^scan lattice of \d+ sites exceeds the "
+                               r"guard \(4000000\); use a coarser resolution or a smaller box$"):
+                scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 # --- density ------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_expansion_result_keys():
         labels=np.zeros(3), alphas=np.zeros(3, complex), reconstruction=np.zeros(g.size, complex),
         cg_residual=1e-12, product_residual=1e-12, vanish_outside=1e-13, coeff_norm_sq=1.0,
         coeff_bound=2.0, coeff_bound_ok=True,
-        exp_report=measure_bounds(exponential_system(g, matched_lattice(g))), band=E,
+        exp_report=measure_bounds(exponential_system(g, matched_lattice(g))),
     )
     assert res.to_dict() == {"cg_residual": 1e-12, "product_residual": 1e-12,
                              "vanish_outside": 1e-13, "coeff_norm_sq": 1.0, "coeff_bound": 2.0,

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import framelab.multiplication as multiplication
 import framelab.translates as translates
 from framelab.domain import Domain, SampledFunction, make_grid
 from framelab.errors import FrameLabError, HypothesisError
@@ -360,8 +361,8 @@ def test_oversampled_expansions_validate_every_target_first(monkeypatch, second,
 def test_expansion_budget_warning_names_the_caller(monkeypatch):
     # a claimed lower bound far above the measured one leaves every
     # expansion over its coefficient budget
-    measure = translates.measure_bounds
-    monkeypatch.setattr(translates, "measure_bounds",
+    measure = multiplication.measure_bounds  # called by require_frame
+    monkeypatch.setattr(multiplication, "measure_bounds",
                         lambda sys, rank_tol: dataclasses.replace(measure(sys, rank_tol), lower=1e6))
     spec, grid, gen = plateau_setup()
     ps = half_integer_lattice(grid)
