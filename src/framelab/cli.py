@@ -1,9 +1,10 @@
 """Command-line surface: config-driven checks with JSON reports.
 
 One logical command per process.  Configs are JSON, reports are JSON, plot
-data is CSV; identical config + seed gives byte-identical reports up to the
-timestamp field.  Exit codes: 0 pass/consistent, 1 inconsistency, 2 usage
-error, 3 numerical failure.
+data is CSV; identical config + seed at one BLAS thread count gives
+byte-identical reports up to the timestamp field (another thread count can
+move the last bits).  Exit codes: 0 pass/consistent, 1 inconsistency, 2
+usage error, 3 numerical failure.
 """
 
 from __future__ import annotations

@@ -28,13 +28,28 @@ from .errors import ExprError
 
 __all__ = ["ExprMultiplier", "parse_multiplier", "parse_expr", "print_expr"]
 
-_FUNCTIONS = ("sin", "cos", "exp", "abs")
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _CONSTANTS = {"pi": complex(np.pi), "i": 1j}
+_DIV_FLOOR = 1e-300
 
+
+def _divide(left, right):
+    if np.any(np.abs(right) <= _DIV_FLOOR):
+        raise ExprError(f"division by a value at or below {_DIV_FLOOR}")
+    return left / right
+
+
+# binary operator -> (precedence, operation); each level associates left
+_BINARY = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply), "/": (2, _divide)}
+# every other node, unary minus included, binds tighter than any operator
+_ATOM = 1 + max(prec for prec, _ in _BINARY.values())
+
+# the last alternative catches any other character, as an error
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/()\[\],:;]))"
+    r"|(?P<sym>[-+*/()\[\],:;])"
+    r"|(?P<other>\S))"
 )
 
 
@@ -82,29 +97,17 @@ def _tokenize(src: str) -> list:
     # (kind, text, offset) triples; '−' is accepted as a minus sign.
     src = src.replace("−", "-")
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            offset = len(src) - len(stripped)
-            raise ExprError(f"unexpected character {stripped[0]!r}", offset)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "other":
+            raise ExprError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(src)))
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.k = 0
 
@@ -124,31 +127,19 @@ class _Parser:
         raise ExprError(f"expected {text!r}, found {shown!r}", off)
 
     def parse(self):
-        node = self.expr()
+        node = self.binary()
         kind, text, off = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected trailing {text!r}", off)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "sym" and text in "+-":
-                self.next()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self):
+    def binary(self, min_prec: int = 1):
+        # precedence climbing: a right operand takes only tighter operators,
+        # so every level associates left
         node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "sym" and text in "*/":
-                self.next()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+        while (prec := _BINARY.get(self.peek()[1], (0,))[0]) >= min_prec:
+            node = BinOp(self.next()[1], node, self.binary(prec + 1))
+        return node
 
     def unary(self):
         kind, text, _ = self.peek()
@@ -168,14 +159,14 @@ class _Parser:
                 return Name(text)
             if text in _FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg = self.binary()
                 self.expect(")")
                 return Call(text, arg)
             if text == "piecewise":
                 return self.piecewise()
             raise ExprError(f"unknown identifier {text!r}", off)
         if kind == "sym" and text == "(":
-            node = self.expr()
+            node = self.binary()
             self.expect(")")
             return node
         shown = text if kind != "end" else "end of input"
@@ -205,7 +196,7 @@ class _Parser:
                 raise ExprError(f"expected ':', found {text!r}", off)
             if hi < lo:
                 raise ExprError("piece interval endpoints are reversed", off)
-            pieces.append(Piece(lo, hi, self.expr()))
+            pieces.append(Piece(lo, hi, self.binary()))
             kind, text, off = self.peek()
             if kind == "sym" and text == ";":
                 self.next()
@@ -222,9 +213,7 @@ def parse_expr(src: str):
 
 
 def _prec(node) -> int:
-    if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
-    return 3
+    return _BINARY[node.op][0] if isinstance(node, BinOp) else _ATOM
 
 
 def print_expr(node) -> str:
@@ -257,9 +246,6 @@ def print_expr(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_DIV_FLOOR = 1e-300
-
-
 def _eval(node, t: np.ndarray) -> np.ndarray:
     if isinstance(node, Num):
         return np.full(t.shape, complex(node.value))
@@ -270,21 +256,9 @@ def _eval(node, t: np.ndarray) -> np.ndarray:
     if isinstance(node, Neg):
         return -_eval(node.arg, t)
     if isinstance(node, BinOp):
-        left = _eval(node.left, t)
-        right = _eval(node.right, t)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if np.any(np.abs(right) <= _DIV_FLOOR):
-            raise ExprError(f"division by a value at or below {_DIV_FLOOR}")
-        return left / right
+        return _BINARY[node.op][1](_eval(node.left, t), _eval(node.right, t))
     if isinstance(node, Call):
-        arg = _eval(node.arg, t)
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}[node.fn]
-        return np.asarray(fn(arg), dtype=complex)
+        return np.asarray(_FUNCTIONS[node.fn](_eval(node.arg, t)), dtype=complex)
     if isinstance(node, Piecewise):
         out = np.zeros(t.shape, dtype=complex)
         assigned = np.zeros(t.shape, dtype=bool)

@@ -459,6 +459,15 @@ class ConvolutionReport(Record):
 _CONV_MODES = ("bessel", "frame", "frame_sequence", "quotient", "bessel_quotient")
 
 
+def _envelope_end(bound: float, magnitude: float, mode: str) -> float:
+    """bound * magnitude**2, one end of a closure envelope; a FrameLabError
+    when the square passes double precision, on spectra that fit it."""
+    try:
+        return bound * magnitude**2
+    except OverflowError as exc:
+        raise FrameLabError(f"overflow: the {mode} envelope exceeds double precision") from exc
+
+
 def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
                               mode: str, rank_tol: float = RANK_TOL,
                               floor: float | None = None) -> ConvolutionReport:
@@ -477,7 +486,11 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         raise FrameLabError("generators live on different grids")
     prof_f = profile_multiplier(grid, gen_f.hat)
     prof_g = profile_multiplier(grid, gen_g.hat)
-    product_hat = SampledFunction(grid, gen_f.hat.values * gen_g.hat.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = gen_f.hat.values * gen_g.hat.values
+    if not np.isfinite(product).all():
+        raise FrameLabError("overflow: the product spectrum exceeds double precision")
+    product_hat = SampledFunction(grid, product)
     prof_p = profile_multiplier(grid, product_hat)
     exp = exponential_system(grid, ps)
     exp_report = (require_frame(exp, "exponentials are not a frame of the band", rank_tol)
@@ -501,7 +514,7 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
     # the bracketed system is the product's, or ghat's for bessel_quotient;
     # each mode states its hypotheses, its envelope's lower end and any
     # further condition
-    hat, lower, upper = product_hat, 0.0, M * (prof_f.ess_sup * prof_g.ess_sup) ** 2
+    hat, lower, upper = product_hat, 0.0, _envelope_end(M, prof_f.ess_sup * prof_g.ess_sup, mode)
     quotient_range, range_ok = None, True
     if mode == "frame":
         if not (prof_f.bounded_below_on_grid and prof_g.bounded_below_on_grid):
@@ -510,14 +523,14 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
                 f"{prof.ess_sup:.6g}" for name, prof in (("first", prof_f), ("second", prof_g)))
             raise HypothesisError("hypothesis violated: a factor is not bounded below on the "
                                   f"band ({factors})")
-        lower = m * (prof_f.ess_inf * prof_g.ess_inf) ** 2
+        lower = _envelope_end(m, prof_f.ess_inf * prof_g.ess_inf, mode)
     elif mode == "frame_sequence":
         mask = prof_p.support_mask
         if not mask.any():
             raise FrameLabError("zero product: supports do not intersect")
         inf_f = float(np.abs(gen_f.hat.values[mask]).min())
         inf_g = float(np.abs(gen_g.hat.values[mask]).min())
-        lower = m * (inf_f * inf_g) ** 2
+        lower = _envelope_end(m, inf_f * inf_g, mode)
         details["support_nodes"] = int(mask.sum())
     elif mode == "bessel_quotient":
         if floor is None:
@@ -527,7 +540,7 @@ def convolution_closure_check(gen_f: Generator, gen_g: Generator, ps: PointSet,
         if prof_f.ess_inf < floor * (1 - 1e-12):
             raise FrameLabError("declared floor exceeds the first factor's actual infimum")
         sup_bound = prof_p.ess_sup / floor
-        hat, upper, quotient_range = gen_g.hat, M * sup_bound**2, (0.0, sup_bound)
+        hat, upper, quotient_range = gen_g.hat, _envelope_end(M, sup_bound, mode), (0.0, sup_bound)
         range_ok = within_envelope(quotient_range, g_range)
         details["sup_bound"] = float(sup_bound)
         details["g_upper_bound"] = float(upper)

@@ -108,6 +108,44 @@ def test_error_offsets():
         parse_expr("2 +")
 
 
+# every syntax-error path, with its full text and offset
+SYNTAX_ERRORS = [
+    ("1 + @", "unexpected character '@'", 4),
+    ("1 +\xa0#", "unexpected character '#'", 4),
+    ("2 * x", "unknown identifier 'x'", 4),
+    ("1 + 2 )", "unexpected trailing ')'", 6),
+    ("1.5.3", "unexpected trailing '.3'", 3),
+    ("2pi", "unexpected trailing 'pi'", 1),
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("piecewise([0 1]: t)", "expected ',', found '1'", 13),
+    ("piecewise([0,1] t)", "expected ':', found 't'", 16),
+    ("piecewise([0,1]", "expected ':', found ''", 15),
+    ("sin(1", "expected ')', found 'end of input'", 5),
+    ("(1 + 2", "expected ')', found 'end of input'", 6),
+    ("piecewise([0,1]: t 2)", "expected ')', found '2'", 19),
+    ("sin 1", "expected '(', found '1'", 4),
+    ("piecewise([0,1]: t;)", "expected '[', found ')'", 19),
+    ("piecewise([0,1: t)", "expected ']', found ':'", 14),
+    ("piecewise([1,0]: t)", "piece interval endpoints are reversed", 15),
+    ("piecewise([t,1]: 2)", "expected a number, found 't'", 11),
+    ("piecewise([0,-x]: t)", "expected a number, found 'x'", 14),
+    ("piecewise([", "expected a number, found ''", 11),
+    ("2 +", "unexpected 'end of input'", 3),
+    ("−", "unexpected 'end of input'", 1),
+    ("1 + )", "unexpected ')'", 4),
+    ("*2", "unexpected '*'", 0),
+]
+
+
+@pytest.mark.parametrize("src, message, offset", SYNTAX_ERRORS)
+def test_syntax_error_text_and_offset(src, message, offset):
+    with pytest.raises(ExprError) as info:
+        parse_expr(src)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
 def test_unicode_minus_is_accepted():
     assert parse_multiplier("1 − t")(0.25) == pytest.approx(0.75)
 
@@ -121,6 +159,50 @@ def test_print_inserts_needed_parens_only():
     assert print_expr(parse_expr("2-(3-4)")) == "2.0 - (3.0 - 4.0)"
     assert print_expr(parse_expr("-(1+t)")) == "-(1.0 + t)"
     assert print_expr(parse_expr("sin( 2*pi*t )")) == "sin(2.0 * pi * t)"
+
+
+# how each source groups and prints: left-associative chains, right-grouped
+# operands, mixed precedence, stacked unary minus, every function, and
+# multi-piece piecewise
+CANONICAL = [
+    ("8 - 3 - 2", "8.0 - 3.0 - 2.0"),
+    ("(8 - 3) - 2", "8.0 - 3.0 - 2.0"),
+    ("8 / 4 / 2", "8.0 / 4.0 / 2.0"),
+    ("8 - (3 - 2)", "8.0 - (3.0 - 2.0)"),
+    ("8 / (4 / 2)", "8.0 / (4.0 / 2.0)"),
+    ("8 - (3 + 2)", "8.0 - (3.0 + 2.0)"),
+    ("8 / (4 * 2)", "8.0 / (4.0 * 2.0)"),
+    ("2 * (3 * 4)", "2.0 * (3.0 * 4.0)"),
+    ("2 + (3 + 4)", "2.0 + (3.0 + 4.0)"),
+    ("1 + 2 * 3", "1.0 + 2.0 * 3.0"),
+    ("(1 + 2) * 3", "(1.0 + 2.0) * 3.0"),
+    ("1 * 2 + 3", "1.0 * 2.0 + 3.0"),
+    ("1 - 2 / 3 * t", "1.0 - 2.0 / 3.0 * t"),
+    ("(t + 1) / (t - 1)", "(t + 1.0) / (t - 1.0)"),
+    ("---t", "---t"),
+    ("-(-t)", "--t"),
+    ("- - 2 + 1", "--2.0 + 1.0"),
+    ("-(t * 2)", "-(t * 2.0)"),
+    ("-t * 2", "-t * 2.0"),
+    ("2 * -t", "2.0 * -t"),
+    ("1 / -2", "1.0 / -2.0"),
+    ("sin(t)", "sin(t)"),
+    ("cos(pi)", "cos(pi)"),
+    ("exp(i*t)", "exp(i * t)"),
+    ("abs(-t)", "abs(-t)"),
+    ("sin(cos(exp(abs(t))))", "sin(cos(exp(abs(t))))"),
+    ("piecewise([-1, 0]: t; [0,1]:1 - t; [2, 3e0]: -sin(t))",
+     "piecewise([-1.0,0.0]: t; [0.0,1.0]: 1.0 - t; [2.0,3.0]: -sin(t))"),
+    ("piecewise([-.5,.5]: piecewise([0,1]: t))", "piecewise([-0.5,0.5]: piecewise([0.0,1.0]: t))"),
+    ("1e3 + 2.5E-2 + .5 + 7.", "1000.0 + 0.025 + 0.5 + 7.0"),
+    ("\tt\n*\rpi ", "t * pi"),
+]
+
+
+@pytest.mark.parametrize("src, canonical", CANONICAL)
+def test_canonical_source(src, canonical):
+    assert print_expr(parse_expr(src)) == canonical
+    assert print_expr(parse_expr(canonical)) == canonical
 
 
 def _leaf():

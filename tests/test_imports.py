@@ -60,6 +60,7 @@ PAPER_API = {
     "translate_system": "the translate system {e_lambda hhat} a multiplier makes of exponentials",
     "outer_frame_check": "the projection step of the translate construction",
     "convolution_closure_check": "closure of translate frames under convolution",
+    "inner": "the grid's discrete inner product <f, h>, in README's library tour",
 }
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 
@@ -78,12 +79,46 @@ def defined_names(tree):
                     yield sub.name
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(tree):
+    """The innermost function (or lambda) around each node, None at module
+    level, and for each function the names it binds itself: its parameters,
+    the names it stores and the functions and classes it defines."""
+    scope = {}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            scope[child] = func
+            visit(child, child if isinstance(child, FUNCTIONS) else func)
+
+    visit(tree, None)
+    bound = {}
+    for node, func in scope.items():
+        if isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if func is not None:
+            bound.setdefault(func, set()).add(name)
+    return scope, bound
+
+
 def reached_names(tree):
     """Every name the module's code reaches a definition by: a name, an
-    attribute or an import (``__all__`` lists strings, so it reaches none)."""
+    attribute or an import (``__all__`` lists strings, so it reaches none).
+    A bare name counts only where the function around it does not bind
+    that name itself: a local ``inner`` reaches no top-level ``inner``."""
+    scope, bound = local_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if node.id not in bound.get(scope.get(node), ()):
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
@@ -101,7 +136,8 @@ def test_no_src_definition_is_test_only():
     """A definition that nothing in src/ (the package ``__init__`` aside)
     reaches is reached only from tests, unless it is paper API; test-only
     code belongs in tests/.  Names are matched, not types, so a method
-    shadowed by a same-named name elsewhere passes unseen."""
+    shadowed by a same-named attribute elsewhere passes unseen; a function's
+    own local of the same name reaches no top-level definition."""
     trees = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8")) for m in MODULES}
     reached = set().union(*(reached_names(tree) for tree in trees.values())) | tracer_targets()
     unreached = {f"{module}:{name}" for module, tree in trees.items()

@@ -514,6 +514,28 @@ def test_convolution_mode_and_grid_validation():
         convolution_closure_check(f, other, ps, "bessel")
 
 
+@pytest.mark.parametrize("mode", ["bessel", "frame", "frame_sequence", "quotient",
+                                  "bessel_quotient"])
+@pytest.mark.parametrize("scale", [1e100, 1e160])
+def test_convolution_overflow_is_a_numerical_failure(scale, mode):
+    # two constant spectra: at 1e100 the product 1e200 fits a double and only
+    # the squared envelope ends pass it; at 1e160 the product itself does
+    g = make_grid(Domain([(0.0, 1.0)]), 16)
+    ps = PointSet.from_1d([k / 1.2 for k in range(-12, 12)])
+    f = Generator(SampledFunction(g, np.full(g.size, scale)))
+    if scale == 1e160:
+        message = "overflow: the product spectrum exceeds double precision"
+    elif mode == "quotient":
+        # the quotient squares nothing: 1e200 / 1e100 is the second factor
+        assert convolution_closure_check(f, f, ps, mode).consistent
+        return
+    else:
+        message = f"overflow: the {mode} envelope exceeds double precision"
+    with pytest.raises(FrameLabError) as info:
+        convolution_closure_check(f, f, ps, mode)
+    assert str(info.value) == message
+
+
 # --- unions ------------------------------------------------------------------------
 
 
